@@ -1,6 +1,11 @@
 // Dynamic-topology runtime + distributed self-stabilizing MIS maintenance.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ostream>
+#include <span>
+#include <vector>
+
 #include "geom/workload.h"
 #include "mis/mis.h"
 #include "protocols/mis_maintenance_protocol.h"
@@ -199,6 +204,128 @@ TEST(MisMaintenance, MobilityChurnKeepsMisValid) {
     ASSERT_TRUE(session.update(g)) << "step " << step;
     expect_valid_mis(g, session.mis_mask(), "churn step");
   }
+}
+
+// Golden pin for the perfect-radio churn above: per update, the cumulative
+// message cost, the simulated clock and an FNV-1a digest of the MIS.  Any
+// change to the runtime's delivery order, delay draws or link bookkeeping
+// shows up here as a changed constant.
+struct ChurnPin {
+  std::uint64_t transmissions;
+  std::uint64_t deliveries;
+  sim::SimTime completion_time;
+  std::uint64_t mask_hash;
+
+  friend bool operator==(const ChurnPin&, const ChurnPin&) = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const ChurnPin& pin) {
+  return os << "{" << pin.transmissions << ", " << pin.deliveries << ", "
+            << pin.completion_time << ", 0x" << std::hex << pin.mask_hash
+            << std::dec << "}";
+}
+
+std::uint64_t fnv1a(const std::vector<bool>& mask) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const bool bit : mask) {
+    h ^= bit ? 1U : 0U;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+std::vector<ChurnPin> churn_pins(const sim::DelayModel& delays) {
+  const std::uint32_t n = 120;
+  const double side = geom::side_for_expected_degree(n, 10.0);
+  auto points = geom::uniform_square(n, side, 3);
+  MisMaintenanceSession session(udg::build_udg(points), delays);
+  EXPECT_TRUE(session.stabilize());
+  geom::Xoshiro256ss rng(99);
+  std::vector<ChurnPin> pins;
+  for (int step = 0; step < 25; ++step) {
+    const auto u = static_cast<NodeId>(rng.next_below(n));
+    points[u].x += rng.next_double(-1.0, 1.0);
+    points[u].y += rng.next_double(-1.0, 1.0);
+    EXPECT_TRUE(session.update(udg::build_udg(points))) << "step " << step;
+    const auto& stats = session.stats();
+    pins.push_back({stats.transmissions, stats.deliveries, stats.now,
+                    fnv1a(session.mis_mask())});
+  }
+  return pins;
+}
+
+// Recorded on the perfect radio; unit and async delays send the same
+// messages, only the clock differs.
+constexpr ChurnPin kUnitChurnPins[] = {
+    {244, 2068, 7, 0xb2152384785a20bd},
+    {250, 2074, 8, 0xb2152384785a20bd},
+    {264, 2104, 10, 0xb2152384785a20bd},
+    {264, 2104, 10, 0xb2152384785a20bd},
+    {266, 2106, 11, 0xb2152384785a20bd},
+    {283, 2154, 13, 0x18e121afb0a17f71},
+    {283, 2154, 13, 0x18e121afb0a17f71},
+    {301, 2172, 14, 0x18e121afb0a17f71},
+    {309, 2180, 15, 0x18e121afb0a17f71},
+    {317, 2198, 17, 0x18e121afb0a17f71},
+    {317, 2198, 17, 0x18e121afb0a17f71},
+    {329, 2210, 18, 0x18e121afb0a17f71},
+    {352, 2247, 20, 0x1488475152d73094},
+    {368, 2263, 21, 0x1488475152d73094},
+    {374, 2269, 22, 0x1488475152d73094},
+    {399, 2332, 24, 0x1ce34262be56b1d4},
+    {407, 2350, 26, 0x3cca93c37e2a6d7},
+    {416, 2368, 28, 0x6e1059e7fca18223},
+    {416, 2368, 28, 0x6e1059e7fca18223},
+    {432, 2384, 29, 0x6e1059e7fca18223},
+    {444, 2396, 30, 0x6e1059e7fca18223},
+    {452, 2404, 31, 0x6e1059e7fca18223},
+    {468, 2446, 33, 0x6e1059e7fca18223},
+    {470, 2448, 34, 0x6e1059e7fca18223},
+    {476, 2454, 35, 0x6e1059e7fca18223},
+};
+
+constexpr ChurnPin kAsyncChurnPins[] = {
+    {244, 2068, 28, 0xb2152384785a20bd},
+    {250, 2074, 31, 0xb2152384785a20bd},
+    {264, 2104, 37, 0xb2152384785a20bd},
+    {264, 2104, 37, 0xb2152384785a20bd},
+    {266, 2106, 41, 0xb2152384785a20bd},
+    {283, 2154, 50, 0x18e121afb0a17f71},
+    {283, 2154, 50, 0x18e121afb0a17f71},
+    {301, 2172, 55, 0x18e121afb0a17f71},
+    {309, 2180, 60, 0x18e121afb0a17f71},
+    {317, 2198, 68, 0x18e121afb0a17f71},
+    {317, 2198, 68, 0x18e121afb0a17f71},
+    {329, 2210, 73, 0x18e121afb0a17f71},
+    {352, 2247, 79, 0x1488475152d73094},
+    {368, 2263, 84, 0x1488475152d73094},
+    {374, 2269, 88, 0x1488475152d73094},
+    {399, 2332, 98, 0x1ce34262be56b1d4},
+    {407, 2350, 105, 0x3cca93c37e2a6d7},
+    {416, 2368, 113, 0x6e1059e7fca18223},
+    {416, 2368, 113, 0x6e1059e7fca18223},
+    {432, 2384, 118, 0x6e1059e7fca18223},
+    {444, 2396, 123, 0x6e1059e7fca18223},
+    {452, 2404, 128, 0x6e1059e7fca18223},
+    {468, 2446, 137, 0x6e1059e7fca18223},
+    {470, 2448, 142, 0x6e1059e7fca18223},
+    {476, 2454, 147, 0x6e1059e7fca18223},
+};
+
+void expect_pins(const std::vector<ChurnPin>& actual,
+                 std::span<const ChurnPin> expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t step = 0; step < actual.size(); ++step) {
+    EXPECT_EQ(actual[step], expected[step]) << "step " << step;
+  }
+}
+
+TEST(MisMaintenanceGolden, UnitDelayChurnIsPinned) {
+  expect_pins(churn_pins(sim::DelayModel::unit()), kUnitChurnPins);
+}
+
+TEST(MisMaintenanceGolden, AsyncDelayChurnIsPinned) {
+  expect_pins(churn_pins(sim::DelayModel::uniform(1, 5, 17)), kAsyncChurnPins);
 }
 
 TEST(MisMaintenance, ChurnUnderMessageLossRecoversViaWatchdog) {
