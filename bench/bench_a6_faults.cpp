@@ -114,9 +114,12 @@ void print_a6b() {
     std::size_t recovered = 0;
     for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
       auto inst = bench::connected_instance(kNodes, kDegree, seed);
-      protocols::MisMaintenanceSession session(inst.g);
-      if (!session.stabilize()) continue;
-      if (drop > 0.0) session.set_loss(drop, seed * 97 + 1);
+      const auto lossy = fault::Plan::lossy(drop, seed * 97 + 1);
+      protocols::MisMaintenanceSession session(
+          inst.g, sim::DelayModel::unit(), drop > 0.0 ? &lossy : nullptr);
+      // The bootstrap runs under the same loss; converge it first so the
+      // measured cost is the crash and recovery alone.
+      if (!session.stabilize() || !session.watchdog()) continue;
       const auto victim = static_cast<NodeId>(seed % kNodes);
       const geom::Point home = inst.points[victim];
       const auto msgs_before = session.stats().transmissions;

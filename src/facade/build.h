@@ -125,13 +125,6 @@ struct BuildReport {
   [[nodiscard]] Algorithm2View algorithm2_view() const {
     return Algorithm2View{result, mis, lists};
   }
-
-  // Owning repackage kept for compatibility with callers that outlive the
-  // report; copies result/mis/lists wholesale.  Prefer algorithm2_view() on
-  // any serving path.
-  [[nodiscard]] Algorithm2Output algorithm2_output() const {
-    return Algorithm2Output{result, mis, lists};
-  }
 };
 
 // Build a WCDS over `g` as `options` selects.  Throws std::invalid_argument

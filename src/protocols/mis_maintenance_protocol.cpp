@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <memory>
 
+#include "check/check.h"
+
 namespace wcds::protocols {
 
 const char* mis_maintenance_message_name(sim::MessageType type) {
@@ -12,25 +14,22 @@ const char* mis_maintenance_message_name(sim::MessageType type) {
   }
 }
 
-void MisMaintenanceNode::on_start(sim::DynamicContext& ctx) {
+void MisMaintenanceNode::on_start(sim::Context& ctx) {
   // Announce white so lower-ID-complete knowledge can accumulate; a node
   // with no lower-ID neighbors promotes immediately through reevaluate.
   ctx.broadcast(kMsgColor, {static_cast<std::uint32_t>(color_)});
   reevaluate(ctx);
 }
 
-void MisMaintenanceNode::on_receive(sim::DynamicContext& ctx,
+void MisMaintenanceNode::on_receive(sim::Context& ctx,
                                     const sim::Message& msg) {
   if (msg.type != kMsgColor) return;
-  // The sender must still be a neighbor (the runtime already drops dead-link
-  // deliveries, but topology may have churned since).
-  const auto row = ctx.neighbors();
-  if (!std::binary_search(row.begin(), row.end(), msg.src)) return;
+  // Topology changes only at quiescence, so the sender is still a neighbor.
   known_[msg.src] = static_cast<Color>(msg.payload[0]);
   reevaluate(ctx);
 }
 
-void MisMaintenanceNode::on_link_up(sim::DynamicContext& ctx,
+void MisMaintenanceNode::on_link_up(sim::Context& ctx,
                                     NodeId neighbor) {
   // Introduce ourselves to the newcomer; their introduction arrives the
   // same way.  Conflicts (black-black) resolve through reevaluate once the
@@ -38,14 +37,14 @@ void MisMaintenanceNode::on_link_up(sim::DynamicContext& ctx,
   ctx.unicast(neighbor, kMsgColor, {static_cast<std::uint32_t>(color_)});
 }
 
-void MisMaintenanceNode::on_link_down(sim::DynamicContext& ctx,
+void MisMaintenanceNode::on_link_down(sim::Context& ctx,
                                       NodeId neighbor) {
   known_.erase(neighbor);
   reevaluate(ctx);
 }
 
 bool MisMaintenanceNode::knows_black_neighbor(
-    sim::DynamicContext& ctx) const {
+    sim::Context& ctx) const {
   const auto row = ctx.neighbors();
   for (const auto& [v, c] : known_) {
     if (c == Color::kBlack && std::binary_search(row.begin(), row.end(), v)) {
@@ -55,7 +54,7 @@ bool MisMaintenanceNode::knows_black_neighbor(
   return false;
 }
 
-bool MisMaintenanceNode::may_promote(sim::DynamicContext& ctx) const {
+bool MisMaintenanceNode::may_promote(sim::Context& ctx) const {
   // Promotion needs complete knowledge of every lower-ID neighbor, none of
   // them white (a white one may promote first) or black (we'd be gray).
   for (NodeId v : ctx.neighbors()) {
@@ -67,13 +66,13 @@ bool MisMaintenanceNode::may_promote(sim::DynamicContext& ctx) const {
   return true;
 }
 
-void MisMaintenanceNode::set_color(sim::DynamicContext& ctx, Color next) {
+void MisMaintenanceNode::set_color(sim::Context& ctx, Color next) {
   if (color_ == next) return;
   color_ = next;
   ctx.broadcast(kMsgColor, {static_cast<std::uint32_t>(color_)});
 }
 
-void MisMaintenanceNode::reevaluate(sim::DynamicContext& ctx) {
+void MisMaintenanceNode::reevaluate(sim::Context& ctx) {
   switch (color_) {
     case Color::kBlack: {
       // Conflict rule: the higher ID yields.
@@ -109,36 +108,50 @@ void MisMaintenanceNode::reevaluate(sim::DynamicContext& ctx) {
   }
 }
 
-void MisMaintenanceNode::reannounce(sim::DynamicContext& ctx) {
+void MisMaintenanceNode::reannounce(sim::Context& ctx) {
   ctx.broadcast(kMsgColor, {static_cast<std::uint32_t>(color_)});
   reevaluate(ctx);
 }
 
-MisMaintenanceSession::MisMaintenanceSession(const graph::Graph& initial,
-                                             const sim::DelayModel& delays)
-    : runtime_(
-          initial,
+namespace {
+
+std::unique_ptr<fault::Injector> make_injector(const fault::Plan* faults,
+                                               std::size_t node_count) {
+  if (faults == nullptr) return nullptr;
+  WCDS_REQUIRE(faults->link_overrides.empty(),
+               "MisMaintenanceSession: link overrides name CSR slots, which "
+               "do not survive a topology change");
+  return std::make_unique<fault::Injector>(*faults, node_count);
+}
+
+}  // namespace
+
+MisMaintenanceSession::MisMaintenanceSession(graph::Graph initial,
+                                             const sim::DelayModel& delays,
+                                             const fault::Plan* faults)
+    : graph_(std::make_unique<graph::Graph>(std::move(initial))),
+      injector_(make_injector(faults, graph_->node_count())),
+      runtime_(
+          *graph_,
           [](NodeId) { return std::make_unique<MisMaintenanceNode>(); },
-          delays) {}
+          delays, nullptr, sim::QueuePolicy::kFlat, injector_.get()) {}
 
 bool MisMaintenanceSession::stabilize(std::uint64_t max_events) {
-  return runtime_.run_to_quiescence(max_events).quiescent;
+  return runtime_.run(max_events).quiescent;
 }
 
-bool MisMaintenanceSession::update(const graph::Graph& next,
+bool MisMaintenanceSession::update(graph::Graph next,
                                    std::uint64_t max_events) {
-  runtime_.apply_topology(next);
+  auto staged = std::make_unique<graph::Graph>(std::move(next));
+  runtime_.apply_topology(*staged);
+  graph_ = std::move(staged);
   return stabilize(max_events);
-}
-
-void MisMaintenanceSession::set_loss(double drop, std::uint64_t seed) {
-  runtime_.set_loss(drop, seed);
 }
 
 bool MisMaintenanceSession::converged() const {
   const std::vector<bool> mask = mis_mask();
   for (NodeId u = 0; u < runtime_.node_count(); ++u) {
-    const auto row = runtime_.neighbors(u);
+    const auto row = graph_->neighbors(u);
     if (mask[u]) {
       // Independence: no two adjacent dominators.
       for (NodeId v : row) {
@@ -160,8 +173,7 @@ bool MisMaintenanceSession::watchdog(std::size_t max_rounds,
   for (std::size_t round = 0; round < max_rounds; ++round) {
     if (converged()) return true;
     for (NodeId u = 0; u < runtime_.node_count(); ++u) {
-      runtime_.with_node(u, [](sim::DynamicContext& ctx,
-                              sim::DynamicProtocolNode& node) {
+      runtime_.with_node(u, [](sim::Context& ctx, sim::ProtocolNode& node) {
         static_cast<MisMaintenanceNode&>(node).reannounce(ctx);
       });
     }
@@ -173,9 +185,8 @@ bool MisMaintenanceSession::watchdog(std::size_t max_rounds,
 std::vector<bool> MisMaintenanceSession::mis_mask() const {
   std::vector<bool> mask(runtime_.node_count(), false);
   for (NodeId u = 0; u < runtime_.node_count(); ++u) {
-    mask[u] = static_cast<const MisMaintenanceNode&>(
-                  const_cast<sim::DynamicRuntime&>(runtime_).node(u))
-                  .is_dominator();
+    mask[u] =
+        static_cast<const MisMaintenanceNode&>(runtime_.node(u)).is_dominator();
   }
   return mask;
 }

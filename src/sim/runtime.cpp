@@ -54,10 +54,12 @@ T pop_min(std::vector<T>& heap) {
 }  // namespace
 
 std::span<const NodeId> Context::neighbors() const {
-  return runtime_.graph_.neighbors(self_);
+  return runtime_.graph_->neighbors(self_);
 }
 
-std::size_t Context::node_count() const { return runtime_.graph_.node_count(); }
+std::size_t Context::node_count() const {
+  return runtime_.graph_->node_count();
+}
 
 void Context::broadcast(MessageType type, std::vector<std::uint32_t> payload) {
   runtime_.send(self_, now_, kBroadcastDst, type, std::move(payload));
@@ -76,7 +78,7 @@ Runtime::Runtime(const graph::Graph& g, const NodeFactory& factory,
                  const DelayModel& delays, obs::Recorder* recorder,
                  QueuePolicy policy, FaultHook* faults,
                  std::span<const NodeId> active)
-    : graph_(g), active_(active.begin(), active.end()), policy_(policy),
+    : graph_(&g), active_(active.begin(), active.end()), policy_(policy),
       delays_(delays), delay_rng_(delays.seed + 1), recorder_(recorder),
       fault_(faults) {
   WCDS_REQUIRE(delays_.min_delay >= 1 && delays_.max_delay >= delays_.min_delay,
@@ -87,7 +89,7 @@ Runtime::Runtime(const graph::Graph& g, const NodeFactory& factory,
   if (!delays_.is_unit()) {
     // Zero-initialized clocks need no first-send branch: every real delivery
     // time is >= 1, so max(at, 0 + 1) leaves a first send untouched.
-    link_clock_.assign(graph_.adjacency_slots(), 0);
+    link_clock_.assign(graph_->adjacency_slots(), 0);
   }
   nodes_.resize(g.node_count());
   if (active_.empty()) {
@@ -244,13 +246,13 @@ void Runtime::send_faulty(NodeId src, SimTime now, NodeId dst,
                           MessageType type,
                           std::vector<std::uint32_t>&& payload) {
   if (dst == kBroadcastDst) {
-    const auto neighbors = graph_.neighbors(src);
+    const auto neighbors = graph_->neighbors(src);
     if (!neighbors.empty()) {
       // The extra guard ref keeps the slot alive across the loop and frees
       // it immediately when every copy was dropped.
       const std::uint32_t slot =
           acquire_slot(src, dst, type, std::move(payload), 1);
-      const std::size_t base = graph_.row_begin(src);
+      const std::size_t base = graph_->row_begin(src);
       for (std::size_t i = 0; i < neighbors.size(); ++i) {
         enqueue_faulty_copy(slot, neighbors[i], base + i, now);
       }
@@ -258,7 +260,7 @@ void Runtime::send_faulty(NodeId src, SimTime now, NodeId dst,
     }
     if (recorder_ != nullptr) [[unlikely]] record_send(src, dst, type, now);
   } else {
-    const std::size_t link_slot = graph_.edge_slot(src, dst);
+    const std::size_t link_slot = graph_->edge_slot(src, dst);
     WCDS_REQUIRE_STATE(link_slot != graph::Graph::kNoSlot,
                        "Runtime: unicast " << src << " -> " << dst
                                            << " to a non-neighbor");
@@ -273,13 +275,13 @@ void Runtime::send_faulty(NodeId src, SimTime now, NodeId dst,
 void Runtime::send_flat(NodeId src, SimTime now, NodeId dst, MessageType type,
                         std::vector<std::uint32_t>&& payload) {
   if (dst == kBroadcastDst) {
-    const auto neighbors = graph_.neighbors(src);
+    const auto neighbors = graph_->neighbors(src);
     if (!neighbors.empty()) {
       // One interned payload, d POD queue records.
       const std::uint32_t slot =
           acquire_slot(src, dst, type, std::move(payload),
                        static_cast<std::uint32_t>(neighbors.size()));
-      const std::size_t base = graph_.row_begin(src);
+      const std::size_t base = graph_->row_begin(src);
       for (std::size_t i = 0; i < neighbors.size(); ++i) {
         const SimTime at = delivery_time(base + i, now);
         enqueue_flat({at, send_seq_, slot, neighbors[i]});
@@ -288,7 +290,7 @@ void Runtime::send_flat(NodeId src, SimTime now, NodeId dst, MessageType type,
     }
     if (recorder_ != nullptr) [[unlikely]] record_send(src, dst, type, now);
   } else {
-    const std::size_t link_slot = graph_.edge_slot(src, dst);
+    const std::size_t link_slot = graph_->edge_slot(src, dst);
     WCDS_REQUIRE_STATE(link_slot != graph::Graph::kNoSlot,
                        "Runtime: unicast " << src << " -> " << dst
                                            << " to a non-neighbor");
@@ -305,8 +307,8 @@ void Runtime::send_reference(NodeId src, SimTime now, NodeId dst,
                              std::vector<std::uint32_t>&& payload) {
   Message msg{src, dst, type, std::move(payload)};
   if (dst == kBroadcastDst) {
-    const auto neighbors = graph_.neighbors(src);
-    const std::size_t base = graph_.row_begin(src);
+    const auto neighbors = graph_->neighbors(src);
+    const std::size_t base = graph_->row_begin(src);
     for (std::size_t i = 0; i < neighbors.size(); ++i) {
       const SimTime at = delivery_time(base + i, now);
       ref_queue_.emplace(std::pair{at, send_seq_},
@@ -315,7 +317,7 @@ void Runtime::send_reference(NodeId src, SimTime now, NodeId dst,
     }
     if (recorder_ != nullptr) [[unlikely]] record_send(src, dst, type, now);
   } else {
-    const std::size_t link_slot = graph_.edge_slot(src, dst);
+    const std::size_t link_slot = graph_->edge_slot(src, dst);
     WCDS_REQUIRE_STATE(link_slot != graph::Graph::kNoSlot,
                        "Runtime: unicast " << src << " -> " << dst
                                            << " to a non-neighbor");
@@ -379,25 +381,90 @@ void Runtime::finalize_stats(bool quiescent) {
       stats_.per_type[static_cast<MessageType>(type)] = per_type_counts_[type];
     }
   }
+  if (recorder_ == nullptr) return;
   // Budget-tripped runs fold their stats too — those are exactly the runs
-  // worth inspecting.
-  record_run_metrics(recorder_, stats_, max_queue_depth_);
+  // worth inspecting.  A resumed run folds only what it added, so the
+  // recorded counters stay cumulative.
+  RunStats added = stats_;
+  added.transmissions -= recorded_.transmissions;
+  added.deliveries -= recorded_.deliveries;
+  for (auto& [type, count] : added.per_type) {
+    const auto it = recorded_.per_type.find(type);
+    if (it != recorded_.per_type.end()) count -= it->second;
+  }
+  record_run_metrics(recorder_, added, max_queue_depth_);
+  recorded_ = stats_;
+}
+
+void Runtime::apply_topology(const graph::Graph& next) {
+  WCDS_REQUIRE(next.node_count() == graph_->node_count(),
+               "Runtime::apply_topology: node count " << next.node_count()
+                   << " != " << graph_->node_count());
+  WCDS_REQUIRE_STATE(queue_size() == 0 && timer_heap_.empty(),
+                     "Runtime::apply_topology: deliveries or timers pending");
+  WCDS_REQUIRE_STATE(active_.empty(),
+                     "Runtime::apply_topology: runtime restricted to a subset");
+  // Merge-walk each node's old and new sorted rows: collect every changed
+  // edge once (u < v) and carry surviving links' FIFO clocks to their new
+  // CSR slots.
+  std::vector<std::pair<NodeId, NodeId>> downs;
+  std::vector<std::pair<NodeId, NodeId>> ups;
+  std::vector<SimTime> clocks(delays_.is_unit() ? 0 : next.adjacency_slots(),
+                              0);
+  for (NodeId u = 0; u < nodes_.size(); ++u) {
+    const auto old_row = graph_->neighbors(u);
+    const auto new_row = next.neighbors(u);
+    std::size_t i = 0;
+    std::size_t j = 0;
+    while (i < old_row.size() || j < new_row.size()) {
+      if (j == new_row.size() ||
+          (i < old_row.size() && old_row[i] < new_row[j])) {
+        if (u < old_row[i]) downs.emplace_back(u, old_row[i]);
+        ++i;
+      } else if (i == old_row.size() || new_row[j] < old_row[i]) {
+        if (u < new_row[j]) ups.emplace_back(u, new_row[j]);
+        ++j;
+      } else {
+        if (!clocks.empty()) {
+          clocks[next.row_begin(u) + j] = link_clock_[graph_->row_begin(u) + i];
+        }
+        ++i;
+        ++j;
+      }
+    }
+  }
+  link_clock_ = std::move(clocks);
+  graph_ = &next;
+  const SimTime now = stats_.completion_time;
+  for (const auto& [u, v] : downs) {
+    Context cu(*this, u, now);
+    nodes_[u]->on_link_down(cu, v);
+    Context cv(*this, v, now);
+    nodes_[v]->on_link_down(cv, u);
+  }
+  for (const auto& [u, v] : ups) {
+    Context cu(*this, u, now);
+    nodes_[u]->on_link_up(cu, v);
+    Context cv(*this, v, now);
+    nodes_[v]->on_link_up(cv, u);
+  }
 }
 
 RunStats Runtime::run(std::uint64_t max_events) {
-  WCDS_REQUIRE_STATE(!ran_, "Runtime: run() called twice");
-  ran_ = true;
-  if (active_.empty()) {
-    for (NodeId u = 0; u < nodes_.size(); ++u) {
-      Context ctx(*this, u, 0);
-      nodes_[u]->on_start(ctx);
-    }
-  } else {
-    // A shard's members ascend within the component, so a member-restricted
-    // sweep sees exactly the global on_start order restricted to the shard.
-    for (NodeId u : active_) {
-      Context ctx(*this, u, 0);
-      nodes_[u]->on_start(ctx);
+  if (!started_) {
+    started_ = true;
+    if (active_.empty()) {
+      for (NodeId u = 0; u < nodes_.size(); ++u) {
+        Context ctx(*this, u, 0);
+        nodes_[u]->on_start(ctx);
+      }
+    } else {
+      // A shard's members ascend within the component, so a member-restricted
+      // sweep sees exactly the global on_start order restricted to the shard.
+      for (NodeId u : active_) {
+        Context ctx(*this, u, 0);
+        nodes_[u]->on_start(ctx);
+      }
     }
   }
   std::uint64_t events = 0;

@@ -11,6 +11,9 @@
 //    are exactly reproducible given the seed.
 //  - The run ends at quiescence (no pending deliveries) or when the event
 //    budget trips (runaway-protocol guard).
+//  - Between quiescent runs the topology may change (apply_topology): every
+//    added or removed link fires on_link_up / on_link_down on both of its
+//    endpoints, and the next run() resumes the clock and the statistics.
 //
 // Cost accounting matches the paper: message complexity = number of
 // transmissions (a broadcast is ONE message); time complexity = the delivery
@@ -142,6 +145,16 @@ class ProtocolNode {
     static_cast<void>(ctx);
     static_cast<void>(token);
   }
+  // Fire on both endpoints of every link Runtime::apply_topology removes or
+  // adds; protocols that assume a fixed topology keep the no-op defaults.
+  virtual void on_link_down(Context& ctx, NodeId neighbor) {
+    static_cast<void>(ctx);
+    static_cast<void>(neighbor);
+  }
+  virtual void on_link_up(Context& ctx, NodeId neighbor) {
+    static_cast<void>(ctx);
+    static_cast<void>(neighbor);
+  }
 };
 
 struct RunStats {
@@ -195,9 +208,31 @@ class Runtime {
   // Run until quiescence.  `max_events` guards against protocol bugs.
   // Stats (including the metrics fold into the recorder) are produced even
   // when the budget trips — those are exactly the runs worth inspecting.
+  // on_start fires on the first call only; a later call resumes at the last
+  // delivery time, and the stats and recorded metrics stay cumulative.
   RunStats run(std::uint64_t max_events = kDefaultMaxEvents);
 
-  [[nodiscard]] const graph::Graph& topology() const { return graph_; }
+  // Replace the topology at quiescence.  `next` must have the same node
+  // count and outlive its use by this runtime; no delivery or timer may be
+  // pending, and the runtime must span every node.  Links that survive keep
+  // their FIFO clocks.  With `next` already installed, fires on_link_down
+  // for every removed edge, then on_link_up for every added one: edges
+  // (u, v), u < v, in ascending order, each on u and then on v.  Their
+  // sends are delivered by the next run().
+  void apply_topology(const graph::Graph& next);
+
+  // Run `fn(ctx, node)` on node u at the current simulated time, the hook a
+  // watchdog uses to nudge a protocol between runs.  Its sends are delivered
+  // by the next run().
+  template <typename Fn>
+  void with_node(NodeId u, Fn&& fn) {
+    Context ctx(*this, u, stats_.completion_time);
+    fn(ctx, *nodes_[u]);
+  }
+
+  [[nodiscard]] const graph::Graph& topology() const { return *graph_; }
+  // Cumulative over every run() so far.
+  [[nodiscard]] const RunStats& stats() const { return stats_; }
   [[nodiscard]] ProtocolNode& node(NodeId u) { return *nodes_[u]; }
   [[nodiscard]] const ProtocolNode& node(NodeId u) const { return *nodes_[u]; }
   // Null-safe lookup: nullptr for nodes outside the active subset.
@@ -305,7 +340,7 @@ class Runtime {
   // both the quiescent and the budget-tripped exit path.
   void finalize_stats(bool quiescent);
 
-  const graph::Graph& graph_;
+  const graph::Graph* graph_;
   // Indexed by global NodeId; null outside the active subset.
   std::vector<std::unique_ptr<ProtocolNode>> nodes_;
   // on_start order; empty means all nodes in ascending id order.
@@ -341,10 +376,13 @@ class Runtime {
 
   std::uint64_t send_seq_ = 0;
   RunStats stats_;
+  // What finalize_stats already folded into the recorder, so a resumed run
+  // adds only its own share.
+  RunStats recorded_;
   // Dense per-type transmission counters, folded into stats_.per_type at the
   // end of run() (a map lookup per send is hot-path poison).
   std::vector<std::uint64_t> per_type_counts_;
-  bool ran_ = false;
+  bool started_ = false;
   DelayModel delays_;
   geom::Xoshiro256ss delay_rng_;
   // Last scheduled delivery per directed link, indexed by the sender's CSR

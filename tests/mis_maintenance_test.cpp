@@ -1,11 +1,15 @@
-// Dynamic-topology runtime + distributed self-stabilizing MIS maintenance.
+// Topology changes on sim::Runtime + distributed self-stabilizing MIS
+// maintenance.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <ostream>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
+#include "fault/plan.h"
 #include "geom/workload.h"
 #include "mis/mis.h"
 #include "protocols/mis_maintenance_protocol.h"
@@ -15,118 +19,141 @@
 namespace wcds::protocols {
 namespace {
 
-// --- DynamicRuntime semantics -----------------------------------------------
+// --- sim::Runtime topology changes -----------------------------------------
 
-class EchoNode final : public sim::DynamicProtocolNode {
- public:
-  void on_start(sim::DynamicContext& ctx) override {
-    if (ctx.self() == 0) ctx.broadcast(1);
-  }
-  void on_receive(sim::DynamicContext&, const sim::Message&) override {
-    ++received;
-  }
-  void on_link_up(sim::DynamicContext&, NodeId) override { ++ups; }
-  void on_link_down(sim::DynamicContext&, NodeId) override { ++downs; }
-  int received = 0;
-  int ups = 0;
-  int downs = 0;
+// Logs every link event as (node, neighbor, up) into a log shared by all
+// nodes, so tests can check both endpoints and the firing order.
+struct LinkEvent {
+  NodeId node;
+  NodeId neighbor;
+  bool up;
+
+  friend bool operator==(const LinkEvent&, const LinkEvent&) = default;
 };
 
-TEST(DynamicRuntime, LinkEventsFireOnBothEndpoints) {
-  const auto before = graph::from_edges(3, {{0, 1}});
-  const auto after = graph::from_edges(3, {{1, 2}});
-  sim::DynamicRuntime rt(before,
-                         [](NodeId) { return std::make_unique<EchoNode>(); });
-  (void)rt.run_to_quiescence();
-  rt.apply_topology(after);
-  (void)rt.run_to_quiescence();
-  EXPECT_EQ(static_cast<EchoNode&>(rt.node(0)).downs, 1);
-  EXPECT_EQ(static_cast<EchoNode&>(rt.node(1)).downs, 1);
-  EXPECT_EQ(static_cast<EchoNode&>(rt.node(1)).ups, 1);
-  EXPECT_EQ(static_cast<EchoNode&>(rt.node(2)).ups, 1);
-  EXPECT_TRUE(rt.has_edge(1, 2));
-  EXPECT_FALSE(rt.has_edge(0, 1));
-}
-
-class LateSender final : public sim::DynamicProtocolNode {
+class LinkLogger final : public sim::ProtocolNode {
  public:
-  void on_start(sim::DynamicContext& ctx) override {
-    if (ctx.self() == 0) ctx.broadcast(1);  // in flight when the link dies
+  explicit LinkLogger(std::vector<LinkEvent>& log) : log_(log) {}
+  void on_start(sim::Context&) override {}
+  void on_receive(sim::Context&, const sim::Message&) override {}
+  void on_link_up(sim::Context& ctx, NodeId neighbor) override {
+    log_.push_back({ctx.self(), neighbor, true});
   }
-  void on_receive(sim::DynamicContext&, const sim::Message&) override {
-    ++received;
+  void on_link_down(sim::Context& ctx, NodeId neighbor) override {
+    log_.push_back({ctx.self(), neighbor, false});
   }
-  void on_link_up(sim::DynamicContext&, NodeId) override {}
-  void on_link_down(sim::DynamicContext&, NodeId) override {}
-  int received = 0;
+
+ private:
+  std::vector<LinkEvent>& log_;
 };
 
-TEST(DynamicRuntime, InFlightMessagesOnDeadLinksAreDropped) {
-  const auto before = graph::from_edges(2, {{0, 1}});
-  graph::GraphBuilder b(2);
-  const auto after = std::move(b).build();
-  sim::DynamicRuntime rt(before,
-                         [](NodeId) { return std::make_unique<LateSender>(); });
-  // Do NOT run yet: on_start fires inside run_to_quiescence, so change the
-  // topology after starting but before delivery by interleaving manually.
-  // Simplest deterministic variant: start (delivers), then break the link,
-  // then send again via a second broadcast — covered by the stale-unicast
-  // path instead:
-  (void)rt.run_to_quiescence();
-  EXPECT_EQ(static_cast<LateSender&>(rt.node(1)).received, 1);
+TEST(RuntimeTopology, LinkEventsFireOnBothEndpoints) {
+  const auto before = graph::from_edges(4, {{0, 1}, {2, 3}});
+  const auto after = graph::from_edges(4, {{1, 2}, {1, 3}, {2, 3}});
+  std::vector<LinkEvent> log;
+  sim::Runtime rt(before,
+                  [&](NodeId) { return std::make_unique<LinkLogger>(log); });
+  ASSERT_TRUE(rt.run().quiescent);
   rt.apply_topology(after);
-  (void)rt.run_to_quiescence();
-  EXPECT_EQ(rt.stats().dropped, 0u);  // nothing was in flight
+  // Downs before ups; each changed edge (u < v) ascending, u then v.
+  const std::vector<LinkEvent> expected = {
+      {0, 1, false}, {1, 0, false}, {1, 2, true},
+      {2, 1, true},  {1, 3, true},  {3, 1, true}};
+  EXPECT_EQ(log, expected);
+  EXPECT_TRUE(rt.topology().has_edge(1, 2));
+  EXPECT_FALSE(rt.topology().has_edge(0, 1));
+  ASSERT_TRUE(rt.run().quiescent);
 }
 
-TEST(DynamicRuntime, StaleUnicastIsCountedDropped) {
-  class StaleUnicaster final : public sim::DynamicProtocolNode {
-   public:
-    void on_start(sim::DynamicContext&) override {}
-    void on_receive(sim::DynamicContext&, const sim::Message&) override {}
-    void on_link_up(sim::DynamicContext&, NodeId) override {}
-    void on_link_down(sim::DynamicContext& ctx, NodeId gone) override {
-      ctx.unicast(gone, 7);  // farewell into the void
-    }
-  };
-  const auto before = graph::from_edges(2, {{0, 1}});
-  graph::GraphBuilder b(2);
-  sim::DynamicRuntime rt(
-      before, [](NodeId) { return std::make_unique<StaleUnicaster>(); });
-  (void)rt.run_to_quiescence();
-  rt.apply_topology(std::move(b).build());
-  (void)rt.run_to_quiescence();
-  EXPECT_EQ(rt.stats().dropped, 2u);  // both farewells missed
-}
+// Node 2 streams sequence numbers to its neighbors, once at start and once
+// more after a topology change; receivers check each link stays FIFO.
+class Sequencer final : public sim::ProtocolNode {
+ public:
+  void on_start(sim::Context& ctx) override {
+    if (ctx.self() == 2) stream(ctx);
+  }
+  void on_receive(sim::Context& ctx, const sim::Message& msg) override {
+    if (received == 0) first_at = ctx.now();
+    in_order = in_order && (received == 0 || msg.payload[0] > last);
+    last = msg.payload[0];
+    ++received;
+  }
+  void stream(sim::Context& ctx) {
+    for (std::uint32_t i = 0; i < 20; ++i) ctx.broadcast(1, {next_++});
+  }
+  bool in_order = true;
+  std::uint32_t last = 0;
+  std::uint32_t received = 0;
+  sim::SimTime first_at = 0;
+
+ private:
+  std::uint32_t next_ = 0;
+};
+
+// Turns node 1's radio off while `deaf` is set and remembers the latest copy
+// it swallowed; the copies still advanced their link's FIFO clock.
+class DeafNodeOne final : public sim::FaultHook {
+ public:
+  bool send_blocked(NodeId, sim::SimTime) override { return false; }
+  bool drop_copy(std::size_t) override { return false; }
+  bool duplicate_copy(std::size_t) override { return false; }
+  sim::SimTime extra_delay() override { return 0; }
+  bool receive_blocked(NodeId recipient, sim::SimTime at) override {
+    if (!deaf || recipient != 1) return false;
+    last_swallowed = std::max(last_swallowed, at);
+    return true;
+  }
+  bool deaf = true;
+  sim::SimTime last_swallowed = 0;
+};
 
 // Regression: without per-link FIFO, reordered COLOR broadcasts leave stale
 // state behind (a node's final color announcement overtaken by an earlier
-// one).  The MIS must stabilize under wide random jitter.
-TEST(DynamicRuntime, PerLinkFifoPreservedUnderAsync) {
-  class Sequencer final : public sim::DynamicProtocolNode {
-   public:
-    void on_start(sim::DynamicContext& ctx) override {
-      if (ctx.self() == 0) {
-        for (std::uint32_t i = 0; i < 20; ++i) ctx.broadcast(1, {i});
-      }
-    }
-    void on_receive(sim::DynamicContext&, const sim::Message& msg) override {
-      in_order = in_order && msg.payload[0] == next;
-      ++next;
-    }
-    void on_link_up(sim::DynamicContext&, NodeId) override {}
-    void on_link_down(sim::DynamicContext&, NodeId) override {}
-    bool in_order = true;
-    std::uint32_t next = 0;
-  };
-  const auto g = graph::from_edges(2, {{0, 1}});
-  sim::DynamicRuntime rt(
-      g, [](NodeId) { return std::make_unique<Sequencer>(); },
-      sim::DelayModel::uniform(1, 25, 7));
-  ASSERT_TRUE(rt.run_to_quiescence().quiescent);
-  const auto& receiver = static_cast<Sequencer&>(rt.node(1));
-  EXPECT_TRUE(receiver.in_order);
-  EXPECT_EQ(receiver.next, 20u);
+// one).  The surviving link 2 -> 1 moves to a new CSR slot here, and its
+// clock must travel with it: the second stream may not overtake the first,
+// even though node 1 missed the first and so nothing was delivered yet.
+TEST(RuntimeTopology, FifoHoldsOnSurvivingLinkUnderAsync) {
+  const auto before = graph::from_edges(3, {{1, 2}});
+  const auto after = graph::from_edges(3, {{0, 2}, {1, 2}});
+  ASSERT_NE(before.edge_slot(2, 1), after.edge_slot(2, 1));
+  DeafNodeOne hook;
+  sim::Runtime rt(before, [](NodeId) { return std::make_unique<Sequencer>(); },
+                  sim::DelayModel::uniform(1, 25, 7), nullptr,
+                  sim::QueuePolicy::kFlat, &hook);
+  ASSERT_TRUE(rt.run().quiescent);
+  ASSERT_GT(hook.last_swallowed, 25u);
+  hook.deaf = false;
+  rt.apply_topology(after);
+  rt.with_node(2, [](sim::Context& ctx, sim::ProtocolNode& node) {
+    static_cast<Sequencer&>(node).stream(ctx);
+  });
+  ASSERT_TRUE(rt.run().quiescent);
+  const auto& survivor = static_cast<const Sequencer&>(rt.node(1));
+  EXPECT_TRUE(survivor.in_order);
+  EXPECT_EQ(survivor.received, 20u);
+  EXPECT_GT(survivor.first_at, hook.last_swallowed);
+  const auto& newcomer = static_cast<const Sequencer&>(rt.node(0));
+  EXPECT_TRUE(newcomer.in_order);
+  EXPECT_EQ(newcomer.received, 20u);
+}
+
+TEST(RuntimeTopology, ApplyWithDeliveriesPendingThrows) {
+  const auto g = graph::from_edges(3, {{1, 2}});
+  sim::Runtime rt(g, [](NodeId) { return std::make_unique<Sequencer>(); });
+  ASSERT_TRUE(rt.run().quiescent);
+  rt.with_node(2, [](sim::Context& ctx, sim::ProtocolNode& node) {
+    static_cast<Sequencer&>(node).stream(ctx);
+  });
+  EXPECT_THROW(rt.apply_topology(graph::from_edges(3, {{0, 2}})),
+               std::logic_error);
+}
+
+TEST(RuntimeTopology, NodeCountMismatchThrows) {
+  const auto g = graph::from_edges(3, {{1, 2}});
+  sim::Runtime rt(g, [](NodeId) { return std::make_unique<Sequencer>(); });
+  ASSERT_TRUE(rt.run().quiescent);
+  EXPECT_THROW(rt.apply_topology(graph::from_edges(4, {{1, 2}})),
+               std::invalid_argument);
 }
 
 // --- MIS maintenance ---------------------------------------------------------
@@ -248,8 +275,8 @@ std::vector<ChurnPin> churn_pins(const sim::DelayModel& delays) {
     points[u].y += rng.next_double(-1.0, 1.0);
     EXPECT_TRUE(session.update(udg::build_udg(points))) << "step " << step;
     const auto& stats = session.stats();
-    pins.push_back({stats.transmissions, stats.deliveries, stats.now,
-                    fnv1a(session.mis_mask())});
+    pins.push_back({stats.transmissions, stats.deliveries,
+                    stats.completion_time, fnv1a(session.mis_mask())});
   }
   return pins;
 }
@@ -329,16 +356,18 @@ TEST(MisMaintenanceGolden, AsyncDelayChurnIsPinned) {
 }
 
 TEST(MisMaintenance, ChurnUnderMessageLossRecoversViaWatchdog) {
-  // Topology churn while every message copy independently rolls a 20% loss.
+  // Topology churn while every message copy independently rolls a 20% loss
+  // (from the initial stabilization on).
   // Lost COLOR announcements can strand stale knowledge, so plain
   // stabilization no longer guarantees a valid MIS — the liveness watchdog
   // (re-announce everywhere, restabilize, repeat) must close the gaps.
   const std::uint32_t n = 100;
   const double side = geom::side_for_expected_degree(n, 10.0);
   auto points = geom::uniform_square(n, side, 5);
-  MisMaintenanceSession session(udg::build_udg(points));
+  const auto lossy = fault::Plan::lossy(0.2, 77);
+  MisMaintenanceSession session(udg::build_udg(points),
+                                sim::DelayModel::unit(), &lossy);
   ASSERT_TRUE(session.stabilize());
-  session.set_loss(0.2, 77);
   geom::Xoshiro256ss rng(42);
   for (int step = 0; step < 15; ++step) {
     const auto u = static_cast<NodeId>(rng.next_below(n));
@@ -358,9 +387,10 @@ TEST(MisMaintenance, CrashRecoverUnderLossConverges) {
   const std::uint32_t n = 90;
   const double side = geom::side_for_expected_degree(n, 10.0);
   auto points = geom::uniform_square(n, side, 8);
-  MisMaintenanceSession session(udg::build_udg(points));
+  const auto lossy = fault::Plan::lossy(0.15, 31);
+  MisMaintenanceSession session(udg::build_udg(points),
+                                sim::DelayModel::unit(), &lossy);
   ASSERT_TRUE(session.stabilize());
-  session.set_loss(0.15, 31);
   for (const NodeId victim : {NodeId{7}, NodeId{42}}) {
     const geom::Point home = points[victim];
     points[victim] = {1e6 + victim, 1e6};  // out of everyone's range
@@ -381,6 +411,14 @@ TEST(MisMaintenance, WorksUnderAsyncDelays) {
   MisMaintenanceSession session(inst.g, sim::DelayModel::uniform(1, 5, 17));
   ASSERT_TRUE(session.stabilize());
   expect_valid_mis(inst.g, session.mis_mask(), "async initial");
+}
+
+TEST(MisMaintenance, RejectsPlanWithLinkOverrides) {
+  const auto g = graph::from_edges(3, {{0, 1}, {1, 2}});
+  auto plan = fault::Plan::lossy(0.1, 3);
+  plan.link_overrides.push_back({g.edge_slot(0, 1), 0.5, 0.0});
+  EXPECT_THROW(MisMaintenanceSession(g, sim::DelayModel::unit(), &plan),
+               std::invalid_argument);
 }
 
 TEST(MisMaintenance, RepeatedUpdatesStayQuiescent) {

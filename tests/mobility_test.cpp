@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "fault/plan.h"
 #include "geom/workload.h"
 #include "mis/mis.h"
 #include "mobility/models.h"
@@ -140,10 +141,10 @@ TEST(MobilityUnderLoss, WaypointTrajectoryKeepsMaintainedMisValid) {
   // message copies are lost; the watchdog restores convergence per step.
   const ArenaBox arena{8.0, 8.0};
   RandomWaypoint model(start_positions(60, 8.0, 11), arena, {}, 13);
-  protocols::MisMaintenanceSession session(
-      udg::build_udg(model.positions()));
+  const auto lossy = fault::Plan::lossy(0.15, 5);
+  protocols::MisMaintenanceSession session(udg::build_udg(model.positions()),
+                                           sim::DelayModel::unit(), &lossy);
   ASSERT_TRUE(session.stabilize());
-  session.set_loss(0.15, 5);
   for (int step = 0; step < 10; ++step) {
     model.step(0.4);
     const auto g = udg::build_udg(model.positions());

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "graph/graph.h"
+#include "obs/recorder.h"
 #include "sim/runtime.h"
 #include "test_util.h"
 
@@ -119,11 +120,40 @@ TEST(Runtime, EventBudgetStopsRunaway) {
   EXPECT_FALSE(stats.quiescent);
 }
 
-TEST(Runtime, RunTwiceThrows) {
-  const auto g = graph::from_edges(2, {{0, 1}});
-  Runtime rt(g, [](NodeId) { return std::make_unique<FloodNode>(); });
-  (void)rt.run();
-  EXPECT_THROW(rt.run(), std::logic_error);
+// Every node broadcasts once at start; counts how often on_start fired.
+class StartCountingNode final : public ProtocolNode {
+ public:
+  void on_start(Context& ctx) override {
+    ++starts;
+    ctx.broadcast(1);
+  }
+  void on_receive(Context&, const Message&) override {}
+  int starts = 0;
+};
+
+TEST(Runtime, SecondRunResumesWithoutRestarting) {
+  const auto g = graph::from_edges(3, {{0, 1}, {1, 2}});
+  obs::Recorder rec;
+  Runtime rt(g, [](NodeId) { return std::make_unique<StartCountingNode>(); },
+             DelayModel::unit(), &rec);
+  const RunStats first = rt.run();
+  EXPECT_EQ(first.transmissions, 3u);
+  EXPECT_EQ(first.deliveries, 4u);
+  rt.with_node(1, [](Context& ctx, ProtocolNode&) { ctx.broadcast(1); });
+  const RunStats second = rt.run();
+  for (NodeId u = 0; u < 3; ++u) {
+    EXPECT_EQ(static_cast<const StartCountingNode&>(rt.node(u)).starts, 1);
+  }
+  EXPECT_TRUE(second.quiescent);
+  EXPECT_EQ(second.transmissions, 4u);
+  EXPECT_EQ(second.deliveries, 6u);
+  EXPECT_EQ(second.completion_time, first.completion_time + 1);
+  EXPECT_EQ(rt.stats(), second);
+  // The recorder sees the cumulative count, not first + second.
+  const auto snap = rec.snapshot();
+  EXPECT_EQ(snap.counters.at("sim/transmissions"), 4u);
+  EXPECT_EQ(snap.counters.at("sim/deliveries"), 6u);
+  EXPECT_EQ(snap.counters.at("sim/msg_type/1"), 4u);
 }
 
 TEST(Runtime, DeterministicAcrossRuns) {
