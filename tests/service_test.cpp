@@ -15,9 +15,11 @@
 
 #include "check/audit.h"
 #include "fault/plan.h"
+#include "geom/rng.h"
 #include "graph/bfs.h"
 #include "obs/recorder.h"
 #include "parallel/thread_pool.h"
+#include "routing/clusterhead_routing.h"
 #include "service/bloom.h"
 #include "service/registry.h"
 #include "test_util.h"
@@ -375,6 +377,106 @@ TEST(ServingSoak, TrafficUnderFaultsSweep) {
   }
   EXPECT_TRUE(failures.empty())
       << failures.size() << " failing combinations written to " << out_path;
+}
+
+// ---------------------------------------------------------------------------
+// Golden pins
+//
+// FNV-1a digests of whole serving runs and of the router's §4.2 queries at
+// n = 2048.  They pin every field of every outcome, every route and every
+// next-clusterhead / overlay-distance answer, so any change to candidate
+// order, overlay next hops, leg expansion or per-hop RNG draws shows up as a
+// changed constant.
+
+class Fnv1a {
+ public:
+  void add(std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (value >> (8 * byte)) & 0xFFu;
+      hash_ *= 1099511628211ULL;
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 14695981039346656037ULL;
+};
+
+const Scenario& golden_scenario() {
+  static const Scenario sc = make_scenario(2048, 14.0, 41, 256, 2);
+  return sc;
+}
+
+struct GoldenRun {
+  std::uint64_t digest = 0;
+  std::uint64_t inter = 0;
+  std::uint64_t bloom_fp = 0;
+};
+
+GoldenRun golden_serve(const ServingOptions& options) {
+  const Scenario& sc = golden_scenario();
+  const ServingEngine engine(sc.inst.g, sc.wcds, sc.registry, options);
+  const auto requests = uniform_requests(sc.registry, 1u << 16, 71);
+  BatchStats stats;
+  const auto outcomes = engine.serve_batch(requests, &stats);
+  Fnv1a fnv;
+  GoldenRun run;
+  for (const Outcome& out : outcomes) {
+    fnv.add(out.provider);
+    fnv.add(out.hops);
+    fnv.add(out.retries);
+    fnv.add(out.latency);
+    fnv.add(out.bloom_fp);
+    fnv.add(out.delivered);
+    fnv.add(static_cast<std::uint64_t>(out.resolution));
+    if (out.resolution == Resolution::kInterDomain) ++run.inter;
+  }
+  run.digest = fnv.value();
+  run.bloom_fp = stats.bloom_fp;
+  return run;
+}
+
+TEST(ServingGolden, PerfectRadioOutcomesArePinned) {
+  const GoldenRun run = golden_serve(ServingOptions{});
+  EXPECT_GT(run.inter, 1000u);  // the inter-domain path is exercised
+  EXPECT_EQ(run.digest, 0x93e5d725f3d7c6abULL);
+}
+
+TEST(ServingGolden, LossyOneBitBloomOutcomesArePinned) {
+  // One bit per entry makes most Bloom answers false positives, so requests
+  // keep walking from one probed domain to the next candidate.
+  const fault::Plan plan = fault::Plan::lossy(0.10, 43);
+  ServingOptions options;
+  options.faults = &plan;
+  options.bloom.bits_per_entry = 1;
+  const GoldenRun run = golden_serve(options);
+  EXPECT_GT(run.inter, 1000u);
+  EXPECT_GT(run.bloom_fp, 1000u);
+  EXPECT_EQ(run.digest, 0x0a4a28d0e0fd32d4ULL);
+}
+
+TEST(ServingGolden, RouterQueriesArePinned) {
+  const Scenario& sc = golden_scenario();
+  const routing::ClusterheadRouter router(sc.inst.g, sc.wcds);
+  const auto heads = router.heads();
+  const std::uint32_t n = sc.inst.g.node_count();
+  geom::Xoshiro256ss rng(97);
+  Fnv1a fnv;
+  for (int i = 0; i < 2000; ++i) {
+    const auto src = static_cast<NodeId>(rng.next_below(n));
+    const auto dst = static_cast<NodeId>(rng.next_below(n));
+    const routing::Route r = router.route(src, dst);
+    fnv.add(r.delivered ? 1u : 0u);
+    fnv.add(r.path.size());
+    for (const NodeId v : r.path) fnv.add(v);
+  }
+  for (int i = 0; i < 4000; ++i) {
+    const NodeId a = heads[rng.next_below(heads.size())];
+    const NodeId b = heads[rng.next_below(heads.size())];
+    fnv.add(router.next_clusterhead(a, b));
+    fnv.add(router.overlay_distance(a, b));
+  }
+  EXPECT_EQ(fnv.value(), 0x33f4385e604ac7f8ULL);
 }
 
 // ---------------------------------------------------------------------------
