@@ -1,16 +1,40 @@
 #include "routing/clusterhead_routing.h"
 
 #include <algorithm>
-#include <limits>
-#include <queue>
-#include <stdexcept>
+#include <string>
 
 namespace wcds::routing {
 
 namespace {
 constexpr std::uint32_t kNoHead = 0xFFFFFFFFu;
-constexpr std::uint16_t kUnreachable16 = 0xFFFFu;
+
+// Scratch for the router's own queries (next_clusterhead, overlay_distance,
+// route); the serving engine keeps its own.
+OverlaySearch& thread_search() {
+  thread_local OverlaySearch search;
+  return search;
+}
 }  // namespace
+
+AsymmetricOverlayError::AsymmetricOverlayError(NodeId from_head,
+                                               NodeId to_head)
+    : std::logic_error("ClusterheadRouter: overlay edge " +
+                       std::to_string(from_head) + " -> " +
+                       std::to_string(to_head) + " has no reverse edge"),
+      from_(from_head),
+      to_(to_head) {}
+
+void OverlaySearch::begin(std::size_t heads) {
+  if (visit_.size() < heads) {
+    visit_.resize(heads);
+    order_.reserve(heads);
+  }
+  if (++epoch_ == 0) {  // wrapped: forget every stale stamp
+    std::fill(visit_.begin(), visit_.end(), Visit{});
+    epoch_ = 1;
+  }
+  order_.clear();
+}
 
 ClusterheadRouter::ClusterheadRouter(const graph::Graph& g,
                                      core::Algorithm2View wcds)
@@ -38,60 +62,77 @@ ClusterheadRouter::ClusterheadRouter(const graph::Graph& g,
 
   // Overlay edges: 2-hop pairs from the 2HopDomLists of the heads, 3-hop
   // pairs from the (bidirectional) 3HopDomLists Algorithm II populated.
-  overlay_.assign(heads_.size(), {});
-  const auto add_edge = [&](NodeId a, NodeId b, NodeId via1, NodeId via2) {
-    auto& row = overlay_[index_[a]];
+  // Rows keep insertion order, first entry per target wins.  By Lemma 2 a
+  // row holds at most 47 heads, so the duplicate scans are O(1) per entry.
+  offsets_.reserve(heads_.size() + 1);
+  offsets_.push_back(0);
+  const auto add_edge = [&](NodeId b, NodeId via1, NodeId via2) {
     const std::uint32_t to = index_[b];
-    if (std::any_of(row.begin(), row.end(),
-                    [&](const OverlayEdge& e) { return e.to == to; })) {
+    if (std::find(targets_.begin() + offsets_.back(), targets_.end(), to) !=
+        targets_.end()) {
       return;
     }
-    row.push_back({to, via1, via2});
-    ++overlay_edges_;
+    targets_.push_back(to);
+    legs_.push_back({via1, via2});
   };
   for (NodeId a : heads_) {
     for (const core::TwoHopEntry& e : lists.two_hop[a]) {
-      add_edge(a, e.dom, e.via, kInvalidNode);
+      add_edge(e.dom, e.via, kInvalidNode);
     }
     for (const core::ThreeHopEntry& e : lists.three_hop[a]) {
-      add_edge(a, e.dom, e.via1, e.via2);
+      add_edge(e.dom, e.via1, e.via2);
     }
+    offsets_.push_back(static_cast<std::uint32_t>(targets_.size()));
   }
+  targets_.shrink_to_fit();
+  legs_.shrink_to_fit();
 
-  // Routing tables: BFS per head over the overlay.  The same traversal
-  // yields the overlay hop distances, kept for candidate ordering in the
-  // service layer (nearest advertising domain first).
-  const std::size_t h = heads_.size();
-  next_.assign(h * h, kNoHead);
-  dist_.assign(h * h, kUnreachable16);
-  std::vector<std::uint32_t> parent(h);
-  for (std::uint32_t src = 0; src < h; ++src) {
-    std::fill(parent.begin(), parent.end(), kNoHead);
-    parent[src] = src;
-    dist_[src * h + src] = 0;
-    std::queue<std::uint32_t> frontier;
-    frontier.push(src);
-    while (!frontier.empty()) {
-      const std::uint32_t a = frontier.front();
-      frontier.pop();
-      for (const OverlayEdge& e : overlay_[a]) {
-        if (parent[e.to] == kNoHead) {
-          parent[e.to] = a;
-          const std::uint32_t d = dist_[src * h + a] + 1;
-          dist_[src * h + e.to] = static_cast<std::uint16_t>(
-              std::min<std::uint32_t>(d, kUnreachable16 - 1));
-          frontier.push(e.to);
-        }
+  // Next hops are found by searching from the destination, which walks
+  // edges backwards: every edge needs its reverse.
+  for (std::uint32_t a = 0; a < heads_.size(); ++a) {
+    for (const std::uint32_t b : overlay_row(a)) {
+      const auto back = overlay_row(b);
+      if (std::find(back.begin(), back.end(), a) == back.end()) {
+        throw AsymmetricOverlayError(heads_[a], heads_[b]);
       }
     }
-    // next_[src][b] = first step from src toward b: walk parents from b.
-    for (std::uint32_t b = 0; b < h; ++b) {
-      if (b == src || parent[b] == kNoHead) continue;
-      std::uint32_t step = b;
-      while (parent[step] != src) step = parent[step];
-      next_[src * h + b] = step;
+  }
+}
+
+std::size_t ClusterheadRouter::bytes() const {
+  return clusterhead_.capacity() * sizeof(NodeId) +
+         heads_.capacity() * sizeof(NodeId) +
+         index_.capacity() * sizeof(std::uint32_t) +
+         offsets_.capacity() * sizeof(std::uint32_t) +
+         targets_.capacity() * sizeof(std::uint32_t) +
+         legs_.capacity() * sizeof(Leg);
+}
+
+std::uint32_t ClusterheadRouter::search(std::uint32_t root, std::uint32_t stop,
+                                        OverlaySearch& scratch) const {
+  scratch.begin(heads_.size());
+  scratch.discover(root, 0);
+  if (root == stop) return 0;
+  for (std::size_t i = 0; i < scratch.size(); ++i) {
+    const std::uint32_t a = scratch[i];
+    const std::uint32_t next = scratch.level(a) + 1;
+    for (const std::uint32_t b : overlay_row(a)) {
+      if (scratch.seen(b)) continue;
+      scratch.discover(b, next);
+      if (b == stop) return next;
     }
   }
+  return kNoHead;
+}
+
+std::size_t ClusterheadRouter::step_toward_root(
+    std::uint32_t at, const OverlaySearch& scratch) const {
+  const std::uint32_t want = scratch.level(at) - 1;
+  const auto row = overlay_row(at);
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    if (scratch.at_level(row[i], want)) return i;
+  }
+  throw std::logic_error("step_toward_root: head not reached by the search");
 }
 
 NodeId ClusterheadRouter::next_clusterhead(NodeId from_head,
@@ -100,8 +141,9 @@ NodeId ClusterheadRouter::next_clusterhead(NodeId from_head,
   const std::uint32_t to = index_[to_head];
   if (from == kNoHead || to == kNoHead) return kInvalidNode;
   if (from == to) return from_head;
-  const std::uint32_t step = next_[from * heads_.size() + to];
-  return step == kNoHead ? kInvalidNode : heads_[step];
+  OverlaySearch& scratch = thread_search();
+  if (search(to, from, scratch) == kNoHead) return kInvalidNode;
+  return heads_[overlay_row(from)[step_toward_root(from, scratch)]];
 }
 
 std::uint32_t ClusterheadRouter::overlay_distance(NodeId from_head,
@@ -109,21 +151,18 @@ std::uint32_t ClusterheadRouter::overlay_distance(NodeId from_head,
   const std::uint32_t from = index_[from_head];
   const std::uint32_t to = index_[to_head];
   if (from == kNoHead || to == kNoHead) return kNoHead;
-  const std::uint16_t d = dist_[from * heads_.size() + to];
-  return d == kUnreachable16 ? kNoHead : d;
+  return search(from, to, thread_search());
 }
 
 ClusterheadRouter::Leg ClusterheadRouter::overlay_leg_compact(
     NodeId from_head, NodeId to_head) const {
-  const auto& row = overlay_[index_[from_head]];
-  const std::uint32_t to = index_[to_head];
-  const auto it = std::find_if(
-      row.begin(), row.end(),
-      [&](const OverlayEdge& e) { return e.to == to; });
+  const std::uint32_t from = index_[from_head];
+  const auto row = overlay_row(from);
+  const auto it = std::find(row.begin(), row.end(), index_[to_head]);
   if (it == row.end()) {
     throw std::logic_error("overlay_leg_compact: not an overlay edge");
   }
-  return Leg{it->via1, it->via2};
+  return overlay_row_legs(from)[static_cast<std::size_t>(it - row.begin())];
 }
 
 std::vector<NodeId> ClusterheadRouter::overlay_leg(NodeId from_head,
@@ -152,17 +191,21 @@ Route ClusterheadRouter::route(NodeId src, NodeId dst) const {
   const NodeId dst_head = clusterhead_[dst];
   if (src != src_head) r.path.push_back(src_head);
 
-  const std::size_t h = heads_.size();
+  // One search from the destination head labels every head on the way; each
+  // hop is then the table step toward it.
   std::uint32_t at = index_[src_head];
   const std::uint32_t goal = index_[dst_head];
+  OverlaySearch& scratch = thread_search();
+  if (search(goal, at, scratch) == kNoHead) {
+    return r;  // overlay disconnected: undeliverable
+  }
   while (at != goal) {
-    const std::uint32_t step = next_[at * h + goal];
-    if (step == kNoHead) return r;  // overlay disconnected: undeliverable
-    const Leg leg = overlay_leg_compact(heads_[at], heads_[step]);
+    const std::size_t i = step_toward_root(at, scratch);
+    const Leg leg = overlay_row_legs(at)[i];
+    at = overlay_row(at)[i];
     r.path.push_back(leg.via1);
     if (leg.via2 != kInvalidNode) r.path.push_back(leg.via2);
-    r.path.push_back(heads_[step]);
-    at = step;
+    r.path.push_back(heads_[at]);
   }
   if (dst != dst_head) r.path.push_back(dst);
   r.delivered = true;

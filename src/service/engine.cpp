@@ -24,6 +24,21 @@ geom::Xoshiro256ss request_rng(std::uint64_t plan_seed, std::uint64_t salt,
   return geom::Xoshiro256ss(sm.next() ^ (kGolden * (index + 1)));
 }
 
+// Per-thread serving scratch, sized on first use and then reused by every
+// request (and every engine) on the thread: the inter-domain step makes no
+// heap allocation.
+struct ServeScratch {
+  routing::OverlaySearch ring;  // nearest-first search from the source head
+  routing::OverlaySearch aux;   // shortest-path marks, or a continuation
+  std::vector<std::uint32_t> picks;  // one ring level's Bloom positives
+};
+
+ServeScratch& serve_scratch(std::size_t heads) {
+  thread_local ServeScratch scratch;
+  if (scratch.picks.capacity() < heads) scratch.picks.reserve(heads);
+  return scratch;
+}
+
 }  // namespace
 
 ServingEngine::ServingEngine(const graph::Graph& g, core::Algorithm2View wcds,
@@ -82,10 +97,14 @@ ServingEngine::ServingEngine(const graph::Graph& g, core::Algorithm2View wcds,
   // Bloom-positive domains per service: the candidate universe a requesting
   // clusterhead works through (includes false positives by design).
   advertisers_.assign(services, {});
+  positive_words_ = (heads + 63) / 64;
+  positive_.assign(services * positive_words_, 0);
   for (std::size_t s = 0; s < services; ++s) {
     const std::uint64_t key = registry.key(static_cast<ServiceId>(s));
     for (std::uint32_t h = 0; h < heads; ++h) {
-      if (blooms_[h].may_contain(key)) advertisers_[s].push_back(h);
+      if (!blooms_[h].may_contain(key)) continue;
+      advertisers_[s].push_back(h);
+      positive_[s * positive_words_ + h / 64] |= std::uint64_t{1} << (h % 64);
     }
   }
 
@@ -157,35 +176,72 @@ bool ServingEngine::transmit(NodeId from, NodeId to, geom::Xoshiro256ss& rng,
   }
 }
 
-bool ServingEngine::walk_overlay(NodeId from, NodeId to,
-                                 geom::Xoshiro256ss& rng, std::uint32_t& now,
-                                 NodeId& at, Outcome& out) const {
-  NodeId cur = from;
-  while (cur != to) {
-    const NodeId step = router_.next_clusterhead(cur, to);
-    if (step == kInvalidNode) return false;  // overlay disconnected
-    const routing::ClusterheadRouter::Leg leg =
-        router_.overlay_leg_compact(cur, step);
-    NodeId prev = cur;
-    if (!transmit(prev, leg.via1, rng, now, out)) {
-      at = prev;
-      return false;
-    }
-    prev = leg.via1;
-    if (leg.via2 != kInvalidNode) {
-      if (!transmit(prev, leg.via2, rng, now, out)) {
-        at = prev;
-        return false;
-      }
-      prev = leg.via2;
-    }
-    if (!transmit(prev, step, rng, now, out)) {
-      at = prev;
-      return false;
-    }
-    cur = step;
+bool ServingEngine::cross(std::uint32_t from, std::size_t slot,
+                          geom::Xoshiro256ss& rng, std::uint32_t& now,
+                          Outcome& out) const {
+  const routing::ClusterheadRouter::Leg leg =
+      router_.overlay_row_legs(from)[slot];
+  const NodeId to = router_.heads()[router_.overlay_row(from)[slot]];
+  NodeId prev = router_.heads()[from];
+  if (!transmit(prev, leg.via1, rng, now, out)) return false;
+  prev = leg.via1;
+  if (leg.via2 != kInvalidNode) {
+    if (!transmit(prev, leg.via2, rng, now, out)) return false;
+    prev = leg.via2;
   }
-  at = cur;
+  return transmit(prev, to, rng, now, out);
+}
+
+bool ServingEngine::walk_from_root(const routing::OverlaySearch& ring,
+                                   std::uint32_t target,
+                                   routing::OverlaySearch& dag,
+                                   geom::Xoshiro256ss& rng, std::uint32_t& now,
+                                   Outcome& out) const {
+  // Backward sweep: mark the heads on shortest root -> target paths, level
+  // by level.  A head one level in from a marked head is on such a path
+  // exactly when it is that head's overlay neighbour (the overlay is
+  // symmetric).  Levels beyond target's are never needed, and the ring has
+  // completed every level up to target's.
+  const std::uint32_t depth = ring.level(target);
+  dag.begin(router_.heads().size());
+  dag.discover(target, depth);
+  for (std::size_t begin = 0, level = depth; level > 1; --level) {
+    const std::size_t end = dag.size();
+    const auto inner = static_cast<std::uint32_t>(level - 1);
+    for (std::size_t i = begin; i < end; ++i) {
+      for (const std::uint32_t y : router_.overlay_row(dag[i])) {
+        if (ring.at_level(y, inner) && !dag.seen(y)) dag.discover(y, inner);
+      }
+    }
+    begin = end;
+  }
+  // Forward walk: from each head, the first row neighbour one level out
+  // that is marked.  That neighbour is one hop closer to target, and the
+  // first such in row order is the §4.2 next-clusterhead step.
+  std::uint32_t at = ring[0];
+  for (std::uint32_t level = 1; level <= depth; ++level) {
+    const auto row = router_.overlay_row(at);
+    std::size_t slot = 0;
+    while (!dag.at_level(row[slot], level)) {
+      ++slot;
+      WCDS_DCHECK(slot < row.size(), "walk_from_root: no marked step");
+    }
+    if (!cross(at, slot, rng, now, out)) return false;
+    at = row[slot];
+  }
+  return true;
+}
+
+bool ServingEngine::walk_between(std::uint32_t from, std::uint32_t to,
+                                 routing::OverlaySearch& scratch,
+                                 geom::Xoshiro256ss& rng, std::uint32_t& now,
+                                 Outcome& out) const {
+  if (router_.search(to, from, scratch) == kNoHeadIndex) return false;
+  while (from != to) {
+    const std::size_t slot = router_.step_toward_root(from, scratch);
+    if (!cross(from, slot, rng, now, out)) return false;
+    from = router_.overlay_row(from)[slot];
+  }
   return true;
 }
 
@@ -259,46 +315,58 @@ Outcome ServingEngine::serve(const Request& request,
     return out;
   }
 
-  // 4. Inter-domain: probe the Bloom summaries, visit positive domains
-  // nearest-first (overlay distance from the source clusterhead, ties by
-  // head index).  The candidate order is fixed at the source clusterhead
-  // and carried with the request; the walk continues from wherever the
-  // previous probe ended.
-  const std::span<const NodeId> heads = router_.heads();
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> candidates;
-  candidates.reserve(advertisers_[s].size());
-  for (const std::uint32_t idx : advertisers_[s]) {
-    if (idx == head_idx) continue;  // own domain already answered "no"
-    const std::uint32_t d = router_.overlay_distance(head, heads[idx]);
-    if (d == kNoHeadIndex) continue;  // unreachable overlay component
-    candidates.emplace_back(d, idx);
-  }
-  std::sort(candidates.begin(), candidates.end());
+  // 4. Inter-domain: visit Bloom-positive domains nearest-first (overlay
+  // distance from the source clusterhead, ties by head index).  A ring BFS
+  // from the source head completes one level at a time; each level's
+  // positives are visited in ascending head index, which is exactly that
+  // order, and the search goes no further than the nearest real provider.
+  // The order is fixed at the source clusterhead and carried with the
+  // request; after a false positive the walk continues from that domain.
+  ServeScratch& scratch = serve_scratch(router_.heads().size());
+  routing::OverlaySearch& ring = scratch.ring;
+  ring.begin(router_.heads().size());
+  ring.discover(head_idx, 0);
+  std::uint32_t cur_idx = head_idx;
+  for (std::uint32_t begin = 0, level = 1; begin < ring.size(); ++level) {
+    const auto end = static_cast<std::uint32_t>(ring.size());
+    scratch.picks.clear();
+    for (std::uint32_t i = begin; i < end; ++i) {
+      for (const std::uint32_t y : router_.overlay_row(ring[i])) {
+        if (ring.seen(y)) continue;
+        ring.discover(y, level);
+        if (bloom_positive(s, y)) scratch.picks.push_back(y);
+      }
+    }
+    begin = end;
+    std::sort(scratch.picks.begin(), scratch.picks.end());
 
-  NodeId cur_head = head;
-  for (const auto& [dist, idx] : candidates) {
-    (void)dist;
-    NodeId reached = cur_head;
-    if (!walk_overlay(cur_head, heads[idx], rng, now, reached, out)) {
-      out.resolution = Resolution::kLost;
+    for (const std::uint32_t idx : scratch.picks) {
+      const bool walked =
+          cur_idx == head_idx
+              ? walk_from_root(ring, idx, scratch.aux, rng, now, out)
+              : walk_between(cur_idx, idx, scratch.aux, rng, now, out);
+      if (!walked) {
+        out.resolution = Resolution::kLost;
+        out.latency = now;
+        return out;
+      }
+      cur_idx = idx;
+      const NodeId cur_head = router_.heads()[idx];
+      const NodeId q = domain_provider(idx, s);
+      if (q == kInvalidNode) {
+        ++out.bloom_fp;  // Bloom false positive: probe cost only, keep going
+        continue;
+      }
+      if (q == cur_head || transmit(cur_head, q, rng, now, out)) {
+        out.provider = q;
+        out.delivered = 1;
+        out.resolution = Resolution::kInterDomain;
+      } else {
+        out.resolution = Resolution::kLost;
+      }
       out.latency = now;
       return out;
     }
-    cur_head = heads[idx];
-    const NodeId q = domain_provider(idx, s);
-    if (q == kInvalidNode) {
-      ++out.bloom_fp;  // Bloom false positive: probe cost only, keep going
-      continue;
-    }
-    if (q == cur_head || transmit(cur_head, q, rng, now, out)) {
-      out.provider = q;
-      out.delivered = 1;
-      out.resolution = Resolution::kInterDomain;
-    } else {
-      out.resolution = Resolution::kLost;
-    }
-    out.latency = now;
-    return out;
   }
 
   out.resolution = Resolution::kNoProvider;

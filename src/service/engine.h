@@ -12,14 +12,14 @@
 //   3. intra-domain   — the source's clusterhead finds an exact provider in
 //                       its own domain table;
 //   4. inter-domain   — the source's clusterhead probes the other domains'
-//                       Bloom summaries, orders the positive candidates by
-//                       overlay distance (ties by head id), and forwards the
-//                       request clusterhead -> clusterhead over the §4.2
-//                       next-clusterhead tables, every physical hop a black
-//                       spanner edge.  A candidate whose exact table has no
-//                       provider was a Bloom false positive: the request
-//                       continues to the next candidate (extra probe hops,
-//                       never misdelivery).
+//                       Bloom summaries nearest-first (overlay distance,
+//                       ties by head id) with a ring BFS over the overlay,
+//                       and forwards the request clusterhead -> clusterhead
+//                       along the §4.2 next-clusterhead steps, every
+//                       physical hop a black spanner edge.  A candidate
+//                       whose exact table has no provider was a Bloom false
+//                       positive: the request continues to the next
+//                       candidate (extra probe hops, never misdelivery).
 //
 // Forwarding is retry-aware: each physical hop is retransmitted (capped
 // exponential backoff, at most max_attempts_per_hop attempts) against the
@@ -161,10 +161,29 @@ class ServingEngine {
   // outcome counters.  False when every attempt failed.
   bool transmit(NodeId from, NodeId to, geom::Xoshiro256ss& rng,
                 std::uint32_t& now, Outcome& out) const;
-  // Walk the overlay from head `from` to head `to` hop by hop.  False when
-  // a hop exhausted its attempts; `at` tracks the current node.
-  bool walk_overlay(NodeId from, NodeId to, geom::Xoshiro256ss& rng,
-                    std::uint32_t& now, NodeId& at, Outcome& out) const;
+  // Send the request across the overlay edge at position `slot` of head
+  // `from`'s overlay row (two or three physical hops).  False when a hop
+  // exhausted its attempts.
+  bool cross(std::uint32_t from, std::size_t slot, geom::Xoshiro256ss& rng,
+             std::uint32_t& now, Outcome& out) const;
+  // Walk from the ring search's root to `target`, a head it discovered,
+  // along the §4.2 next-clusterhead steps toward target.
+  bool walk_from_root(const routing::OverlaySearch& ring,
+                      std::uint32_t target, routing::OverlaySearch& dag,
+                      geom::Xoshiro256ss& rng, std::uint32_t& now,
+                      Outcome& out) const;
+  // Walk from head `from` to head `to` along the same steps, found by a
+  // search from `to` that stops at `from`.
+  bool walk_between(std::uint32_t from, std::uint32_t to,
+                    routing::OverlaySearch& scratch, geom::Xoshiro256ss& rng,
+                    std::uint32_t& now, Outcome& out) const;
+  // Whether head `head_index`'s Bloom filter answers "maybe" for `service`.
+  [[nodiscard]] bool bloom_positive(ServiceId service,
+                                    std::uint32_t head_index) const {
+    const std::uint64_t word =
+        positive_[service * positive_words_ + head_index / 64];
+    return ((word >> (head_index % 64)) & 1u) != 0;
+  }
   [[nodiscard]] double drop_probability(NodeId from, NodeId to) const;
   [[nodiscard]] bool crashed(NodeId node, std::uint32_t at_time) const;
   // First provider of `service` in head's domain (smallest id), or
@@ -186,6 +205,10 @@ class ServingEngine {
   std::vector<NodeId> prov_;
   // Bloom-positive domains per service, ascending dense head index.
   std::vector<std::vector<std::uint32_t>> advertisers_;
+  // The same as one bit per (service, head): row s is positive_words_
+  // words, bit h set iff h is in advertisers_[s].
+  std::vector<std::uint64_t> positive_;
+  std::size_t positive_words_ = 0;
   // Crash windows per node ([down_from, up_at) pairs); empty when no plan.
   std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>> crash_;
   // Per-directed-CSR-slot drop probability; empty unless the plan carries
