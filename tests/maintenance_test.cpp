@@ -1,13 +1,19 @@
 // Dynamic WCDS maintenance: invariants after every mobility event, locality
 // of repairs.
 #include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "check/check.h"
 #include "geom/rng.h"
 #include "geom/workload.h"
 #include "maintenance/crash_schedule.h"
 #include "maintenance/dynamic_wcds.h"
+#include "mobility/models.h"
+#include "udg/udg.h"
 
 namespace wcds::maintenance {
 namespace {
@@ -172,6 +178,160 @@ TEST(DynamicWcds, MoveIntoIsolationStillAudits) {
   (void)dyn.move_node(5, {1e5, 1e5});
   EXPECT_TRUE(dyn.audit().ok());
   EXPECT_TRUE(dyn.is_mis_dominator(5));
+}
+
+// ---------------------------------------------------------------------------
+// Golden pins
+//
+// A seeded mixed event stream at n = 2048: random-waypoint moves, on/off
+// pairs, lone deactivations and activations, moves into isolation and one
+// crash/recover wave.  FNV-1a digests pin every RepairReport field of every
+// event, the final MIS and the final S + C, so any change to repair order,
+// role choices or bridge choices shows up as a changed constant.  Every 25th
+// event the maintained radio graph is compared against the O(n^2) reference
+// UDG of the current positions with inactive nodes' edges removed.
+
+class Fnv1a {
+ public:
+  void add(std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (value >> (8 * byte)) & 0xFFu;
+      hash_ *= 1099511628211ULL;
+    }
+  }
+  void add(const RepairReport& report) {
+    add(report.demoted);
+    add(report.promoted);
+    add(report.bridges_changed);
+    add(report.region_size);
+  }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 14695981039346656037ULL;
+};
+
+struct GoldenStream {
+  std::uint64_t events = 0;
+  std::uint64_t reports = 0;     // digest of every RepairReport
+  std::uint64_t mis = 0;         // digest of is_mis_dominator(0..n)
+  std::uint64_t dominators = 0;  // digest of dominators()
+  std::size_t dominator_count = 0;
+  std::size_t oracle_checks = 0;
+  std::size_t oracle_mismatches = 0;
+  std::size_t audit_failures = 0;
+};
+
+// Edges of the reference UDG over `dyn`'s current positions, restricted to
+// active endpoints, in the same (u < v, row) order as Graph::edges().
+std::vector<std::pair<NodeId, NodeId>> oracle_edges(const DynamicWcds& dyn) {
+  std::vector<geom::Point> points(dyn.node_count());
+  for (NodeId u = 0; u < dyn.node_count(); ++u) points[u] = dyn.position(u);
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (const auto& [u, v] : udg::build_udg_reference(points).edges()) {
+    if (dyn.is_active(u) && dyn.is_active(v)) edges.emplace_back(u, v);
+  }
+  return edges;
+}
+
+GoldenStream run_golden_stream() {
+  constexpr std::uint32_t kNodes = 2048;
+  constexpr double kDegree = 12.0;
+  constexpr int kEpochs = 30;
+  constexpr int kEpochEvents = 50;
+  const bool audits_were = check::set_audits_enabled(false);
+  const double side = geom::side_for_expected_degree(kNodes, kDegree);
+  const auto start = deployment(kNodes, kDegree, 31);
+  DynamicWcds dyn(start);
+  mobility::RandomWaypoint model(start, mobility::ArenaBox{side, side},
+                                 mobility::WaypointParams{}, 32);
+  geom::Xoshiro256ss rng(33);
+  GoldenStream out;
+  Fnv1a reports;
+  std::vector<NodeId> off;  // nodes switched off by a lone deactivate
+  const auto after_event = [&](const RepairReport& report) {
+    reports.add(report);
+    if (++out.events % 25 != 0) return;
+    ++out.oracle_checks;
+    if (dyn.active_graph().edges() != oracle_edges(dyn)) {
+      ++out.oracle_mismatches;
+    }
+    if (!dyn.audit().ok()) ++out.audit_failures;
+  };
+  for (int epoch = 0; epoch < kEpochs; ++epoch) {
+    model.step(1.0);
+    const auto& targets = model.positions();
+    for (int k = 0; k < kEpochEvents; ++k) {
+      const auto u = static_cast<NodeId>(rng.next_below(kNodes));
+      const auto kind = rng.next_below(20);
+      if (kind < 15) {
+        after_event(dyn.move_node(u, targets[u]));
+      } else if (kind < 17) {
+        after_event(dyn.deactivate(u));
+        after_event(dyn.activate(u));
+      } else if (kind == 17) {
+        after_event(dyn.deactivate(u));
+        off.push_back(u);
+      } else if (kind == 18 && !off.empty()) {
+        after_event(dyn.activate(off.front()));
+        off.erase(off.begin());
+      } else {
+        // Far outside the arena: u becomes a component of its own until a
+        // later waypoint move brings it back.
+        const double far = 1e4 + 10.0 * static_cast<double>(epoch);
+        after_event(dyn.move_node(u, {far, far + static_cast<double>(k)}));
+      }
+    }
+    if (epoch == kEpochs / 2) {
+      std::vector<NodeId> victims;
+      while (victims.size() < 6) {
+        const auto v = static_cast<NodeId>(rng.next_below(kNodes));
+        if (dyn.is_active(v) &&
+            std::find(victims.begin(), victims.end(), v) == victims.end()) {
+          victims.push_back(v);
+        }
+      }
+      const auto wave = run_crash_schedule(dyn, victims);
+      for (const CrashOutcome& outcome : wave.outcomes) {
+        reports.add(outcome.node);
+        after_event(outcome.crash_repair);
+        after_event(outcome.recover_repair);
+      }
+    }
+  }
+  out.reports = reports.value();
+  Fnv1a mis;
+  for (NodeId u = 0; u < kNodes; ++u) mis.add(std::uint64_t{dyn.is_mis_dominator(u)});
+  out.mis = mis.value();
+  const auto dominators = dyn.dominators();
+  Fnv1a dom;
+  for (const NodeId d : dominators) dom.add(d);
+  out.dominators = dom.value();
+  out.dominator_count = dominators.size();
+  if (!dyn.audit().ok()) ++out.audit_failures;
+  check::set_audits_enabled(audits_were);
+  return out;
+}
+
+const GoldenStream& golden_stream() {
+  static const GoldenStream stream = run_golden_stream();
+  return stream;
+}
+
+TEST(DynamicWcdsGolden, MixedChurnIsPinned) {
+  const GoldenStream& s = golden_stream();
+  EXPECT_EQ(s.events, 1667u);
+  EXPECT_EQ(s.reports, 0x64e95ce247d072ebULL);
+  EXPECT_EQ(s.mis, 0xcaa2a41191bdcf04ULL);
+  EXPECT_EQ(s.dominators, 0x7539e736ce43a8c2ULL);
+  EXPECT_EQ(s.dominator_count, 768u);
+  EXPECT_EQ(s.audit_failures, 0u);
+}
+
+TEST(DynamicWcdsGolden, ActiveGraphMatchesReferenceUdg) {
+  const GoldenStream& s = golden_stream();
+  EXPECT_GT(s.oracle_checks, 50u);
+  EXPECT_EQ(s.oracle_mismatches, 0u);
 }
 
 }  // namespace
