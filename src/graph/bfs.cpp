@@ -94,6 +94,21 @@ HopCount eccentricity(const Graph& g, NodeId source) {
   return ecc;
 }
 
+void BoundedBfs::begin(std::size_t node_count, NodeId source) {
+  WCDS_DCHECK_LT(source, node_count, "BoundedBfs: source out of range");
+  if (stamp_.size() != node_count) {
+    stamp_.assign(node_count, 0);
+    dist_.assign(node_count, kUnreachable);
+    epoch_ = 0;
+  }
+  if (++epoch_ == 0) {  // wrapped: no stale stamp may equal the new epoch
+    std::fill(stamp_.begin(), stamp_.end(), 0);
+    epoch_ = 1;
+  }
+  order_.clear();
+  visit(source, 0);
+}
+
 std::vector<NodeId> ball(const Graph& g, NodeId center, HopCount radius) {
   std::vector<NodeId> members;
   const auto dist = bfs_distances(g, center);

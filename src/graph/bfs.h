@@ -4,6 +4,8 @@
 // the MIS structural lemmas and for the spanner's topological dilation.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -39,5 +41,61 @@ struct Components {
 // All nodes within `radius` hops of `center`, including the center.
 [[nodiscard]] std::vector<NodeId> ball(const Graph& g, NodeId center,
                                        HopCount radius);
+
+// BFS truncated at a hop bound, over caller-owned scratch.  Visits are
+// epoch-stamped, so a search costs O(nodes and edges within the bound), not
+// O(n): the scratch is sized to the node count once and reused by every
+// later search.  Not thread-safe; use one instance per thread.
+class BoundedBfs {
+ public:
+  // Visits every node within `bound` hops of `source` and returns them in
+  // BFS order (source first).  `neighbors(u)` yields u's adjacency as a
+  // range.  The span is valid until the next run().
+  template <typename Neighbors>
+  std::span<const NodeId> run(std::size_t node_count, NodeId source,
+                              HopCount bound, const Neighbors& neighbors);
+  std::span<const NodeId> run(const Graph& g, NodeId source, HopCount bound) {
+    return run(g.node_count(), source, bound,
+               [&g](NodeId u) { return g.neighbors(u); });
+  }
+
+  // Hop distance from the last run's source: exact when at most the bound,
+  // kUnreachable otherwise.
+  [[nodiscard]] HopCount distance(NodeId v) const {
+    return stamp_[v] == epoch_ ? dist_[v] : kUnreachable;
+  }
+
+ private:
+  // Starts a search: a new epoch, and `source` visited at distance 0.
+  void begin(std::size_t node_count, NodeId source);
+  void visit(NodeId v, HopCount d) {
+    stamp_[v] = epoch_;
+    dist_[v] = d;
+    order_.push_back(v);
+  }
+
+  std::vector<std::uint32_t> stamp_;
+  std::vector<HopCount> dist_;
+  std::vector<NodeId> order_;
+  std::uint32_t epoch_ = 0;
+};
+
+template <typename Neighbors>
+std::span<const NodeId> BoundedBfs::run(std::size_t node_count, NodeId source,
+                                        HopCount bound,
+                                        const Neighbors& neighbors) {
+  begin(node_count, source);
+  // order_ doubles as the FIFO queue; distances along it never decrease, so
+  // the first node at the bound ends the expansion.
+  for (std::size_t head = 0; head < order_.size(); ++head) {
+    const NodeId u = order_[head];
+    const HopCount d = dist_[u];
+    if (d >= bound) break;
+    for (const NodeId v : neighbors(u)) {
+      if (stamp_[v] != epoch_) visit(v, d + 1);
+    }
+  }
+  return order_;
+}
 
 }  // namespace wcds::graph

@@ -1,12 +1,11 @@
 #include "maintenance/dynamic_wcds.h"
 
 #include <algorithm>
-#include <queue>
+#include <cmath>
 #include <set>
 
 #include "check/audit.h"
 #include "check/check.h"
-#include "graph/bfs.h"
 #include "graph/subgraph.h"
 #include "udg/udg.h"
 #include "wcds/wcds_result.h"
@@ -14,28 +13,29 @@
 namespace wcds::maintenance {
 namespace {
 
-// BFS truncated at 3 hops; returns visited nodes (center included).
-std::vector<NodeId> truncated_ball(const graph::Graph& g, NodeId center,
-                                   HopCount radius) {
-  std::vector<HopCount> dist(g.node_count(), kUnreachable);
-  std::vector<NodeId> members;
-  std::queue<NodeId> frontier;
-  dist[center] = 0;
-  frontier.push(center);
-  members.push_back(center);
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop();
-    if (dist[u] == radius) continue;
-    for (NodeId v : g.neighbors(u)) {
-      if (dist[v] == kUnreachable) {
-        dist[v] = dist[u] + 1;
-        members.push_back(v);
-        frontier.push(v);
-      }
-    }
-  }
-  return members;
+// Grid cell of `p`: the same floor(coordinate / range) cells and key packing
+// as udg::build_udg, so only the 3x3 block around a node can hold partners
+// in range.
+std::pair<std::int32_t, std::int32_t> cell_of(const geom::Point& p,
+                                              double range) {
+  const double inv = 1.0 / range;
+  return {static_cast<std::int32_t>(std::floor(p.x * inv)),
+          static_cast<std::int32_t>(std::floor(p.y * inv))};
+}
+
+std::uint64_t cell_key(std::int32_t cx, std::int32_t cy) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cx)) << 32) |
+         static_cast<std::uint32_t>(cy);
+}
+
+std::uint64_t cell_key(const geom::Point& p, double range) {
+  const auto [cx, cy] = cell_of(p, range);
+  return cell_key(cx, cy);
+}
+
+void sort_unique(std::vector<NodeId>& nodes) {
+  std::sort(nodes.begin(), nodes.end());
+  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
 }
 
 }  // namespace
@@ -47,37 +47,94 @@ DynamicWcds::DynamicWcds(std::vector<geom::Point> points, double range)
       recorder_(obs::global_recorder()) {
   WCDS_REQUIRE(range_ > 0.0, "DynamicWcds: range <= 0");
   obs::PhaseTimer build_timer(recorder_, "maintenance/initial_build");
-  rebuild_graph();
-  mis_.assign(points_.size(), false);
+  const std::size_t n = points_.size();
+  csr_ = udg::build_udg(points_, range_);
+  adj_.resize(n);
+  partners_.resize(n);
+  for (NodeId u = 0; u < n; ++u) {
+    const auto row = csr_.neighbors(u);
+    adj_[u].assign(row.begin(), row.end());
+    cells_[cell_key(points_[u], range_)].push_back(u);
+  }
+  mis_.assign(n, false);
   // Initial MIS: greedy lowest-ID-first (Algorithm II's ranking).
-  std::vector<bool> removed(points_.size(), false);
-  for (NodeId u = 0; u < points_.size(); ++u) {
+  std::vector<bool> removed(n, false);
+  for (NodeId u = 0; u < n; ++u) {
     if (removed[u]) continue;
     mis_[u] = true;
     removed[u] = true;
-    for (NodeId v : graph_.neighbors(u)) removed[v] = true;
+    for (NodeId v : adj_[u]) removed[v] = true;
   }
   // Initial bridges for every 3-hop MIS pair.
   std::vector<NodeId> all_mis;
-  for (NodeId u = 0; u < points_.size(); ++u) {
+  for (NodeId u = 0; u < n; ++u) {
     if (mis_[u]) all_mis.push_back(u);
   }
   rebridge(all_mis);
   maybe_audit("construction");
 }
 
-void DynamicWcds::rebuild_graph() {
-  // Inactive nodes are placed but radio-silent: build over active positions
-  // and keep ids stable by masking edges after the fact.
-  graph::GraphBuilder builder(points_.size());
-  const auto full = udg::build_udg(points_, range_);
-  for (NodeId u = 0; u < points_.size(); ++u) {
-    if (!active_[u]) continue;
-    for (NodeId v : full.neighbors(u)) {
-      if (u < v && active_[v]) builder.add_edge(u, v);
+void DynamicWcds::link_node(NodeId u) {
+  auto& row = adj_[u];
+  const auto [cx, cy] = cell_of(points_[u], range_);
+  for (std::int32_t dx = -1; dx <= 1; ++dx) {
+    for (std::int32_t dy = -1; dy <= 1; ++dy) {
+      const auto it = cells_.find(cell_key(cx + dx, cy + dy));
+      if (it == cells_.end()) continue;
+      for (NodeId v : it->second) {
+        if (v != u && active_[v] &&
+            geom::within_range(points_[u], points_[v], range_)) {
+          row.push_back(v);
+        }
+      }
     }
   }
-  graph_ = std::move(builder).build();
+  std::sort(row.begin(), row.end());
+  for (NodeId v : row) {
+    auto& back = adj_[v];
+    back.insert(std::lower_bound(back.begin(), back.end(), u), u);
+  }
+  csr_stale_ = true;
+}
+
+void DynamicWcds::unlink_node(NodeId u) {
+  for (NodeId v : adj_[u]) {
+    auto& back = adj_[v];
+    back.erase(std::lower_bound(back.begin(), back.end(), u));
+  }
+  adj_[u].clear();
+  csr_stale_ = true;
+}
+
+void DynamicWcds::move_cell(NodeId u, const geom::Point& from,
+                            const geom::Point& to) {
+  const std::uint64_t old_key = cell_key(from, range_);
+  const std::uint64_t new_key = cell_key(to, range_);
+  if (old_key == new_key) return;
+  const auto it = cells_.find(old_key);
+  auto& cell = it->second;
+  *std::find(cell.begin(), cell.end(), u) = cell.back();
+  cell.pop_back();
+  if (cell.empty()) cells_.erase(it);
+  cells_[new_key].push_back(u);
+}
+
+const graph::Graph& DynamicWcds::active_graph() const {
+  if (csr_stale_) {
+    std::vector<std::uint32_t> offsets(points_.size() + 1, 0);
+    for (NodeId u = 0; u < points_.size(); ++u) {
+      offsets[u + 1] =
+          offsets[u] + static_cast<std::uint32_t>(adj_[u].size());
+    }
+    std::vector<NodeId> adjacency;
+    adjacency.reserve(offsets.back());
+    for (const auto& row : adj_) {
+      adjacency.insert(adjacency.end(), row.begin(), row.end());
+    }
+    csr_ = graph::Graph(std::move(offsets), std::move(adjacency));
+    csr_stale_ = false;
+  }
+  return csr_;
 }
 
 bool DynamicWcds::is_additional_dominator(NodeId u) const {
@@ -94,8 +151,15 @@ std::vector<NodeId> DynamicWcds::dominators() const {
   return {set.begin(), set.end()};
 }
 
-std::vector<NodeId> DynamicWcds::three_hop_ball(NodeId center) const {
-  return truncated_ball(graph_, center, 3);
+std::span<const NodeId> DynamicWcds::three_hop_ball(NodeId center) {
+  return bfs_.run(points_.size(), center, 3,
+                  [this](NodeId u) -> const std::vector<NodeId>& {
+                    return adj_[u];
+                  });
+}
+
+bool DynamicWcds::has_edge(NodeId u, NodeId v) const {
+  return std::binary_search(adj_[u].begin(), adj_[u].end(), v);
 }
 
 bool DynamicWcds::bridge_valid(NodeId a, NodeId b, NodeId v) const {
@@ -104,88 +168,79 @@ bool DynamicWcds::bridge_valid(NodeId a, NodeId b, NodeId v) const {
   if (!active_[v] || !active_[a] || !active_[b]) return false;
   if (!mis_[a] || !mis_[b]) return false;
   const auto links = [&](NodeId near, NodeId far) {
-    if (!graph_.has_edge(near, v)) return false;
-    for (NodeId x : graph_.neighbors(v)) {
-      if (graph_.has_edge(x, far)) return true;
-    }
-    return false;
+    if (!has_edge(near, v)) return false;
+    return std::any_of(adj_[v].begin(), adj_[v].end(),
+                       [&](NodeId x) { return has_edge(x, far); });
   };
   return links(a, b) || links(b, a);
 }
 
 std::size_t DynamicWcds::rebridge(const std::vector<NodeId>& mis_nodes) {
   std::size_t changed = 0;
-  std::set<NodeId> touched(mis_nodes.begin(), mis_nodes.end());
 
-  // Drop entries with a touched endpoint or an invalid path.
-  for (auto it = bridges_.begin(); it != bridges_.end();) {
-    const auto [a, b] = it->first;
-    const bool endpoint_touched = touched.count(a) > 0 || touched.count(b) > 0;
-    if (endpoint_touched || !bridge_valid(a, b, it->second)) {
-      it = bridges_.erase(it);
-      ++changed;
-    } else {
-      ++it;
+  // Drop every entry with an endpoint in `mis_nodes`, found through the
+  // partner index rather than a scan of the whole map.  No other entry can
+  // have gone stale, so this is exactly the set of entries that are touched
+  // or invalid:
+  //  * every stored entry is valid after every event (audited as
+  //    Audit::bridges_sound), because each event re-derives all entries of
+  //    the MIS nodes it reaches;
+  //  * an event can invalidate an entry {a, b} via v only by removing an
+  //    edge of a path a-v-x-b (every removed edge is incident to the event
+  //    node u, so a and b were within 3 hops of u before the event), by
+  //    switching off v, a or b (then u is v, a or b), or by demoting a or b.
+  //    In the first two cases both endpoints lie in the old 3-hop ball of u;
+  //    repair() puts every MIS node of that ball and every demoted node into
+  //    `mis_nodes`.  Activation and promotion only add edges and dominators,
+  //    which keeps every entry valid.
+  for (NodeId a : mis_nodes) {
+    for (NodeId b : partners_[a]) {
+      changed += bridges_.erase(std::minmax(a, b));
+      auto& back = partners_[b];
+      back.erase(std::find(back.begin(), back.end(), a));
     }
+    partners_[a].clear();
   }
 
-  // Recompute pairs around each touched MIS node.
+  // Recompute pairs around each touched MIS node.  A pair with both
+  // endpoints touched is bridged from the smaller one, which runs first.
   for (NodeId a : mis_nodes) {
     if (!mis_[a] || !active_[a]) continue;
-    // Hop distances from a, truncated at 3.
-    std::vector<HopCount> dist(graph_.node_count(), kUnreachable);
-    std::queue<NodeId> frontier;
-    dist[a] = 0;
-    frontier.push(a);
-    while (!frontier.empty()) {
-      const NodeId u = frontier.front();
-      frontier.pop();
-      if (dist[u] == 3) continue;
-      for (NodeId v : graph_.neighbors(u)) {
-        if (dist[v] == kUnreachable) {
-          dist[v] = dist[u] + 1;
-          frontier.push(v);
-        }
-      }
-    }
-    for (NodeId b = 0; b < graph_.node_count(); ++b) {
-      if (!mis_[b] || b == a || dist[b] != 3) continue;
+    for (NodeId b : three_hop_ball(a)) {
+      if (bfs_.distance(b) != 3 || !mis_[b]) continue;
       const auto key = std::minmax(a, b);
-      if (bridges_.count({key.first, key.second}) > 0) continue;
-      // Lexicographically smallest (v, x) path a-v-x-b.
-      NodeId best_v = kInvalidNode;
-      for (NodeId v : graph_.neighbors(a)) {
-        bool reaches = false;
-        for (NodeId x : graph_.neighbors(v)) {
-          if (graph_.has_edge(x, b)) {
-            reaches = true;
-            break;
-          }
-        }
-        if (reaches) {
-          best_v = v;
-          break;  // neighbors() ascending: first hit is the smallest v
-        }
-      }
-      if (best_v != kInvalidNode) {
-        bridges_.emplace(std::pair{key.first, key.second}, best_v);
-        ++changed;
-      }
+      if (bridges_.count(key) > 0) continue;
+      // Lexicographically smallest (v, x) path a-v-x-b.  adj_ rows are
+      // ascending, so the first v that reaches b is the smallest; one
+      // exists because b is exactly 3 hops from a.
+      const auto& row = adj_[a];
+      const auto v = std::find_if(row.begin(), row.end(), [&](NodeId w) {
+        return std::any_of(adj_[w].begin(), adj_[w].end(),
+                           [&](NodeId x) { return has_edge(x, b); });
+      });
+      WCDS_DCHECK(v != row.end(), "rebridge: no bridge for a 3-hop pair");
+      bridges_.emplace(key, *v);
+      partners_[a].push_back(b);
+      partners_[b].push_back(a);
+      ++changed;
     }
   }
   return changed;
 }
 
 RepairReport DynamicWcds::repair(const std::vector<NodeId>& seeds,
-                                 std::vector<NodeId> old_region) {
+                                 const std::vector<NodeId>& old_region) {
   RepairReport report;
 
   // Region: 3-hop balls (new graph) around the seeds, plus the pre-event
-  // ball (coverage lost by the event is confined there).
-  std::set<NodeId> region(old_region.begin(), old_region.end());
+  // ball (coverage lost by the event is confined there).  Ascending, like
+  // every node list below: role decisions depend on the visiting order.
+  std::vector<NodeId> region = old_region;
   for (NodeId s : seeds) {
-    for (NodeId u : three_hop_ball(s)) region.insert(u);
+    const auto ball = three_hop_ball(s);
+    region.insert(region.end(), ball.begin(), ball.end());
   }
+  sort_unique(region);
 
   // 1. Resolve MIS conflicts (adjacent dominators): demote the higher ID.
   std::vector<NodeId> demoted;
@@ -194,7 +249,7 @@ RepairReport DynamicWcds::repair(const std::vector<NodeId>& seeds,
     conflict = false;
     for (NodeId u : region) {
       if (!mis_[u] || !active_[u]) continue;
-      for (NodeId v : graph_.neighbors(u)) {
+      for (NodeId v : adj_[u]) {
         if (mis_[v] && v > u) {
           mis_[v] = false;
           demoted.push_back(v);
@@ -215,15 +270,17 @@ RepairReport DynamicWcds::repair(const std::vector<NodeId>& seeds,
   // 2. Restore maximality: any active node in the blast radius without a
   // dominator in its closed neighborhood is promoted, ascending by ID (the
   // promotion keeps independence because the candidate has no MIS neighbor).
-  std::set<NodeId> coverage_candidates(region.begin(), region.end());
+  std::vector<NodeId> coverage_candidates = region;
   for (NodeId d : demoted) {
-    coverage_candidates.insert(d);
-    for (NodeId v : graph_.neighbors(d)) coverage_candidates.insert(v);
+    coverage_candidates.push_back(d);
+    coverage_candidates.insert(coverage_candidates.end(), adj_[d].begin(),
+                               adj_[d].end());
   }
+  sort_unique(coverage_candidates);
   std::vector<NodeId> promoted;
-  for (NodeId u : coverage_candidates) {  // std::set iterates ascending
+  for (NodeId u : coverage_candidates) {
     if (!active_[u] || mis_[u]) continue;
-    const auto row = graph_.neighbors(u);
+    const auto& row = adj_[u];
     const bool dominated = std::any_of(row.begin(), row.end(),
                                        [&](NodeId v) { return mis_[v]; });
     if (!dominated) {
@@ -234,22 +291,22 @@ RepairReport DynamicWcds::repair(const std::vector<NodeId>& seeds,
   report.promoted = promoted.size();
 
   // 3. Re-derive bridges for every MIS node within 3 hops of anything that
-  // changed (seeds, demotions, promotions).
-  std::set<NodeId> changed(seeds.begin(), seeds.end());
-  for (NodeId d : demoted) changed.insert(d);
-  for (NodeId p : promoted) changed.insert(p);
-  std::set<NodeId> affected_mis;
+  // changed (seeds, demotions, promotions), or in the pre-event ball.
+  std::vector<NodeId> changed = seeds;
+  changed.insert(changed.end(), demoted.begin(), demoted.end());
+  changed.insert(changed.end(), promoted.begin(), promoted.end());
+  sort_unique(changed);
+  std::vector<NodeId> affected_mis = demoted;  // forces entry erasure
   for (NodeId c : changed) {
     for (NodeId u : three_hop_ball(c)) {
-      if (mis_[u]) affected_mis.insert(u);
+      if (mis_[u]) affected_mis.push_back(u);
     }
   }
   for (NodeId u : old_region) {
-    if (mis_[u]) affected_mis.insert(u);
+    if (mis_[u]) affected_mis.push_back(u);
   }
-  for (NodeId d : demoted) affected_mis.insert(d);  // force entry erasure
-  report.bridges_changed =
-      rebridge({affected_mis.begin(), affected_mis.end()});
+  sort_unique(affected_mis);
+  report.bridges_changed = rebridge(affected_mis);
 
   report.region_size = region.size();
   return report;
@@ -258,9 +315,15 @@ RepairReport DynamicWcds::repair(const std::vector<NodeId>& seeds,
 RepairReport DynamicWcds::move_node(NodeId u, const geom::Point& destination) {
   WCDS_REQUIRE_BOUNDS(u < points_.size(), "move_node: bad id " << u);
   obs::PhaseTimer event_timer(recorder_, "maintenance/move_node");
-  const auto old_region = active_[u] ? three_hop_ball(u) : std::vector<NodeId>{u};
+  std::vector<NodeId> old_region{u};
+  if (active_[u]) {
+    const auto ball = three_hop_ball(u);
+    old_region.assign(ball.begin(), ball.end());
+    unlink_node(u);
+  }
+  move_cell(u, points_[u], destination);
   points_[u] = destination;
-  rebuild_graph();
+  if (active_[u]) link_node(u);
   const RepairReport report = repair({u}, old_region);
   event_timer.stop();
   record_event("move_node", report);
@@ -272,9 +335,10 @@ RepairReport DynamicWcds::deactivate(NodeId u) {
   WCDS_REQUIRE_BOUNDS(u < points_.size(), "deactivate: bad id " << u);
   if (!active_[u]) return {};
   obs::PhaseTimer event_timer(recorder_, "maintenance/deactivate");
-  const auto old_region = three_hop_ball(u);
+  const auto ball = three_hop_ball(u);
+  const std::vector<NodeId> old_region(ball.begin(), ball.end());
   active_[u] = false;
-  rebuild_graph();
+  unlink_node(u);
   const RepairReport report = repair({u}, old_region);
   event_timer.stop();
   record_event("deactivate", report);
@@ -287,7 +351,7 @@ RepairReport DynamicWcds::activate(NodeId u) {
   if (active_[u]) return {};
   obs::PhaseTimer event_timer(recorder_, "maintenance/activate");
   active_[u] = true;
-  rebuild_graph();
+  link_node(u);
   const RepairReport report = repair({u}, {u});
   event_timer.stop();
   record_event("activate", report);
@@ -301,9 +365,15 @@ RepairReport DynamicWcds::watchdog() {
   // Recovery mode: seed the repair everywhere.  Costlier than the 3-hop
   // event path, but only reached when the maintained state was perturbed
   // outside the event interface.
+  // The map may be unsound here, so it is not trusted to say which entries
+  // are stale: every entry is dropped and re-derived.
+  const std::size_t dropped = bridges_.size();
+  bridges_.clear();
+  for (auto& partners : partners_) partners.clear();
   std::vector<NodeId> everyone(points_.size());
   for (NodeId u = 0; u < points_.size(); ++u) everyone[u] = u;
-  const RepairReport report = repair(everyone, everyone);
+  RepairReport report = repair(everyone, everyone);
+  report.bridges_changed += dropped;
   event_timer.stop();
   record_event("watchdog", report);
   maybe_audit("watchdog");
@@ -345,18 +415,23 @@ void DynamicWcds::maybe_audit(const char* event) const {
   check::AuditOptions options;
   options.unit_disk = true;  // the active graph is a UDG by construction
   options.active = &active_;
-  check::audit_invariants(graph_, result, options);
+  check::audit_invariants(active_graph(), result, options);
   // The maintenance-specific contract on top of the paper invariants: every
-  // 3-hop MIS pair holds a valid additional-dominator bridge.
+  // 3-hop MIS pair holds a valid additional-dominator bridge, and no stored
+  // bridge has gone stale.
   const Audit state = audit();
   WCDS_CHECK(state.bridges_complete,
              "Section 4.2 (maintenance): unbridged 3-hop MIS pair after "
+                 << event);
+  WCDS_CHECK(state.bridges_sound,
+             "Section 4.2 (maintenance): stale or unindexed bridge after "
                  << event);
 }
 
 Audit DynamicWcds::audit() const {
   Audit audit;
   const std::size_t n = points_.size();
+  const graph::Graph& g = active_graph();
 
   // Independence + maximality over active nodes.
   audit.mis_independent = true;
@@ -364,11 +439,11 @@ Audit DynamicWcds::audit() const {
   for (NodeId u = 0; u < n; ++u) {
     if (!active_[u]) continue;
     if (mis_[u]) {
-      for (NodeId v : graph_.neighbors(u)) {
+      for (NodeId v : g.neighbors(u)) {
         if (mis_[v]) audit.mis_independent = false;
       }
     } else {
-      const auto row = graph_.neighbors(u);
+      const auto row = g.neighbors(u);
       if (std::none_of(row.begin(), row.end(),
                        [&](NodeId v) { return mis_[v]; })) {
         audit.mis_maximal = false;
@@ -376,13 +451,14 @@ Audit DynamicWcds::audit() const {
     }
   }
 
-  // Every 3-hop MIS pair bridged.
+  // Every 3-hop MIS pair bridged.  Pairs more than 3 hops apart need no
+  // bridge, so a search bounded at 3 hops finds every pair to check.
   audit.bridges_complete = true;
+  graph::BoundedBfs bfs;
   for (NodeId a = 0; a < n; ++a) {
     if (!mis_[a] || !active_[a]) continue;
-    const auto dist = graph::bfs_distances(graph_, a);
-    for (NodeId b = a + 1; b < n; ++b) {
-      if (!mis_[b] || !active_[b] || dist[b] != 3) continue;
+    for (NodeId b : bfs.run(g, a, 3)) {
+      if (b <= a || !mis_[b] || !active_[b] || bfs.distance(b) != 3) continue;
       const auto it = bridges_.find({a, b});
       if (it == bridges_.end() || !bridge_valid(a, b, it->second)) {
         audit.bridges_complete = false;
@@ -390,12 +466,27 @@ Audit DynamicWcds::audit() const {
     }
   }
 
+  // Every stored bridge valid and indexed under both of its endpoints.
+  std::size_t indexed = 0;
+  for (const auto& partners : partners_) indexed += partners.size();
+  audit.bridges_sound = indexed == 2 * bridges_.size();
+  for (const auto& [pair, v] : bridges_) {
+    const auto [a, b] = pair;
+    const auto indexes = [&](NodeId at, NodeId other) {
+      const auto& row = partners_[at];
+      return std::find(row.begin(), row.end(), other) != row.end();
+    };
+    if (!bridge_valid(a, b, v) || !indexes(a, b) || !indexes(b, a)) {
+      audit.bridges_sound = false;
+    }
+  }
+
   // Weak connectivity of S + C per connected component (judged over active
   // nodes; singleton components are trivially fine).
   std::vector<bool> dom_mask(n, false);
   for (NodeId d : dominators()) dom_mask[d] = true;
-  const auto weak = graph::weakly_induced_subgraph(graph_, dom_mask);
-  const auto comp_g = graph::connected_components(graph_);
+  const auto weak = graph::weakly_induced_subgraph(g, dom_mask);
+  const auto comp_g = graph::connected_components(g);
   const auto comp_w = graph::connected_components(weak);
   audit.weakly_connected = true;
   // Two nodes in one G-component must share a weak component.

@@ -5,22 +5,34 @@
 // later paper: "maintain the MIS in the unit-disk graph at all times, and
 // maintain information about all MIS-dominators within three-hop distance
 // ... the nodes that get affected are within three-hop distance."  We
-// implement exactly that contract:
+// implement exactly that contract, and every event costs work bounded by
+// that 3-hop region, not by n:
 //
-//  * the radio environment (the UDG itself) is recomputed from positions on
-//    every event — physics is global, protocol state is not;
+//  * the radio environment (the UDG over active nodes) is kept as sorted
+//    adjacency rows plus a range-sided cell grid of positions.  An event
+//    relinks only the node it concerns: a move unlinks it from its old
+//    neighbours and links it to the active nodes in range in the 3x3 cells
+//    around its new position; switching off unlinks, switching on links.
+//    The edge set always equals udg::build_udg over the active positions;
 //  * protocol-state repair is local: only nodes within the 3-hop balls of
-//    the event site (old and new position) can change role;
+//    the event site (old and new position) can change role, and bridges are
+//    re-derived only for MIS nodes in those balls (found through a
+//    per-node index of bridge partners, over epoch-stamped BFS scratch);
 //  * invariants after every event: S is an MIS of the active graph, every
-//    3-hop MIS pair is bridged by an additional-dominator, and hence
-//    S + C is a WCDS of every connected component.
+//    3-hop MIS pair is bridged by an additional-dominator, every stored
+//    bridge is still valid, and hence S + C is a WCDS of every connected
+//    component.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <span>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "geom/point.h"
+#include "graph/bfs.h"
 #include "graph/graph.h"
 #include "graph/types.h"
 #include "obs/recorder.h"
@@ -38,11 +50,14 @@ struct Audit {
   bool mis_independent = false;
   bool mis_maximal = false;
   bool bridges_complete = false;     // every 3-hop MIS pair bridged
+  // Every stored bridge is valid and indexed under both endpoints: the
+  // precondition of the endpoint-indexed drop in the event path.
+  bool bridges_sound = false;
   bool weakly_connected = false;     // per connected component of the graph
 
   [[nodiscard]] bool ok() const {
     return mis_independent && mis_maximal && bridges_complete &&
-           weakly_connected;
+           bridges_sound && weakly_connected;
   }
 };
 
@@ -63,8 +78,10 @@ class DynamicWcds {
   void set_recorder(obs::Recorder* recorder) noexcept { recorder_ = recorder; }
   [[nodiscard]] obs::Recorder* recorder() const noexcept { return recorder_; }
 
-  // State inspection.
-  [[nodiscard]] const graph::Graph& active_graph() const { return graph_; }
+  // State inspection.  active_graph() materializes the radio graph as CSR on
+  // first use after an event (O(n + m)) and caches it; the reference is
+  // valid until the next event.  Like the events, not thread-safe.
+  [[nodiscard]] const graph::Graph& active_graph() const;
   [[nodiscard]] bool is_active(NodeId u) const { return active_[u]; }
   [[nodiscard]] bool is_mis_dominator(NodeId u) const { return mis_[u]; }
   [[nodiscard]] bool is_additional_dominator(NodeId u) const;
@@ -75,10 +92,11 @@ class DynamicWcds {
   }
 
   // Full global invariant check (test oracle; not part of the repair path).
+  // O(n + m) plus a 3-hop bounded BFS per MIS node.
   [[nodiscard]] Audit audit() const;
 
   // Liveness watchdog: audit the maintained invariants and, when any fail,
-  // run a repair pass seeded at every node.  Per-event localized repairs
+  // drop every bridge and run a repair pass seeded at every node.  Per-event localized repairs
   // keep the invariants by construction, so this is the recovery path for
   // compound fault sequences (crash storms via maintenance::run_crash_schedule)
   // or external state perturbation.  Returns the all-zero report when the
@@ -86,8 +104,13 @@ class DynamicWcds {
   RepairReport watchdog();
 
  private:
-  // Rebuild the UDG over active nodes (inactive nodes are isolated).
-  void rebuild_graph();
+  // Radio graph edits for an active node u: link adds the edges to every
+  // active node in range (3x3 grid cells around u), unlink removes u's
+  // edges.  The caller keeps active_[u] and the grid in step.
+  void link_node(NodeId u);
+  void unlink_node(NodeId u);
+  // Moves u's grid entry from the cell of `from` to the cell of `to`.
+  void move_cell(NodeId u, const geom::Point& from, const geom::Point& to);
   // Debug/test tripwire: runs check::audit_invariants (unit-disk bounds,
   // active-node scope) plus the bridge-completeness audit after `event`.
   // No-op unless check::audits_enabled().
@@ -95,22 +118,36 @@ class DynamicWcds {
   // Localized repair around `seeds`; `old_region` is the 3-hop ball of the
   // event site in the pre-event graph.
   RepairReport repair(const std::vector<NodeId>& seeds,
-                      std::vector<NodeId> old_region);
+                      const std::vector<NodeId>& old_region);
   // Fold one event's RepairReport into the recorder (no-op when null).
   void record_event(const char* event, const RepairReport& report) const;
-  // Re-derive bridges for every 3-hop pair with an endpoint in `mis_nodes`.
+  // Re-derive bridges for every 3-hop pair with an endpoint in `mis_nodes`
+  // (ascending).
   std::size_t rebridge(const std::vector<NodeId>& mis_nodes);
-  [[nodiscard]] std::vector<NodeId> three_hop_ball(NodeId center) const;
+  // Nodes within 3 hops of `center`, in BFS order; valid until the next
+  // search on bfs_.
+  std::span<const NodeId> three_hop_ball(NodeId center);
+  [[nodiscard]] bool has_edge(NodeId u, NodeId v) const;
   [[nodiscard]] bool bridge_valid(NodeId a, NodeId b, NodeId v) const;
 
   std::vector<geom::Point> points_;
   std::vector<bool> active_;
   double range_;
-  graph::Graph graph_;
+  // Active radio graph: sorted adjacency rows, empty for inactive nodes.
+  std::vector<std::vector<NodeId>> adj_;
+  // Every node (active or not) by range-sided grid cell, keyed like
+  // udg::build_udg; empty cells are erased.
+  std::unordered_map<std::uint64_t, std::vector<NodeId>> cells_;
+  // CSR snapshot of adj_ behind active_graph(), rebuilt lazily after events.
+  mutable graph::Graph csr_;
+  mutable bool csr_stale_ = false;
   std::vector<bool> mis_;
   // (a, b) with a < b, both MIS and exactly 3 hops apart -> the additional
   // dominator bridging them (a neighbor of a on a 3-hop path to b).
   std::map<std::pair<NodeId, NodeId>, NodeId> bridges_;
+  // partners_[a]: every b with an entry for {a, b} in bridges_.
+  std::vector<std::vector<NodeId>> partners_;
+  graph::BoundedBfs bfs_;  // event-path search scratch
   obs::Recorder* recorder_ = nullptr;
 };
 

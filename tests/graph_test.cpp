@@ -147,6 +147,73 @@ TEST(Bfs, Ball) {
   EXPECT_FALSE(std::find(b2.begin(), b2.end(), 7u) != b2.end());
 }
 
+// Checks one bounded search against the full BFS: the visited set is
+// exactly the nodes within the bound, in nondecreasing distance order, and
+// every reported distance is exact.
+void expect_bounded_matches_full(BoundedBfs& bfs, const Graph& g,
+                                 NodeId source, HopCount bound) {
+  const auto full = bfs_distances(g, source);
+  const auto order = bfs.run(g, source, bound);
+  ASSERT_FALSE(order.empty());
+  EXPECT_EQ(order.front(), source);
+  std::size_t within = 0;
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    if (full[v] != kUnreachable && full[v] <= bound) {
+      ++within;
+      EXPECT_EQ(bfs.distance(v), full[v]) << "source " << source << " v " << v;
+    } else {
+      EXPECT_EQ(bfs.distance(v), kUnreachable)
+          << "source " << source << " v " << v;
+    }
+  }
+  EXPECT_EQ(order.size(), within);
+  for (std::size_t k = 1; k < order.size(); ++k) {
+    EXPECT_LE(bfs.distance(order[k - 1]), bfs.distance(order[k]));
+  }
+}
+
+TEST(BoundedBfs, PathGraphStopsAtTheBound) {
+  const Graph g = path_graph(9);
+  BoundedBfs bfs;
+  const auto order = bfs.run(g, 4, 2);
+  EXPECT_EQ(std::vector<NodeId>(order.begin(), order.end()),
+            (std::vector<NodeId>{4, 3, 5, 2, 6}));
+  EXPECT_EQ(bfs.distance(6), 2u);
+  EXPECT_EQ(bfs.distance(7), kUnreachable);
+  EXPECT_EQ(bfs.run(g, 0, 0).size(), 1u);
+  EXPECT_EQ(bfs.distance(1), kUnreachable);
+}
+
+TEST(BoundedBfs, AgreesWithFullBfsOnRandomUdgs) {
+  // One scratch across graphs of different sizes and many sources, so
+  // stale stamps from earlier searches would show up as wrong distances.
+  BoundedBfs bfs;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const auto inst = wcds::testing::connected_udg(300, 10.0, seed);
+    for (NodeId source = 0; source < inst.g.node_count(); source += 7) {
+      for (const HopCount bound : {1u, 2u, 3u, 5u}) {
+        expect_bounded_matches_full(bfs, inst.g, source, bound);
+      }
+    }
+  }
+}
+
+TEST(BoundedBfs, AgreesWithFullBfsOnDisconnectedUdgs) {
+  // Expected degree 2.5 leaves many components and isolated nodes.
+  BoundedBfs bfs;
+  for (const std::uint64_t seed : {4u, 5u}) {
+    const auto points = geom::uniform_square(
+        400, geom::side_for_expected_degree(400, 2.5), seed);
+    const Graph g = udg::build_udg(points);
+    ASSERT_GT(connected_components(g).count, 1u);
+    for (NodeId source = 0; source < g.node_count(); source += 3) {
+      for (const HopCount bound : {0u, 1u, 3u, 4u}) {
+        expect_bounded_matches_full(bfs, g, source, bound);
+      }
+    }
+  }
+}
+
 TEST(Dijkstra, MatchesHandComputedLengths) {
   //   0 -(1)- 1 -(1)- 2 and 0 -(1.5 direct diagonal)- 2
   const std::vector<geom::Point> pts{{0.0, 0.0}, {1.0, 0.0}, {1.0, 1.0}};

@@ -180,6 +180,27 @@ TEST(DynamicWcds, MoveIntoIsolationStillAudits) {
   EXPECT_TRUE(dyn.is_mis_dominator(5));
 }
 
+TEST(DynamicWcds, BridgesStaySoundAcrossEventKinds) {
+  // The event path drops only the bridges of MIS nodes near the event; the
+  // audit's bridges_sound verdict is what vouches that nothing stale is
+  // left behind, and ok() must depend on it.
+  DynamicWcds dyn(deployment(200, 10.0, 10));
+  geom::Xoshiro256ss rng(11);
+  const double side = geom::side_for_expected_degree(200, 10.0);
+  for (int step = 0; step < 40; ++step) {
+    const auto u = static_cast<NodeId>(rng.next_below(200));
+    (void)dyn.move_node(u, {rng.next_double(0.0, side),
+                            rng.next_double(0.0, side)});
+    (void)dyn.deactivate(static_cast<NodeId>(rng.next_below(200)));
+    (void)dyn.activate(static_cast<NodeId>(rng.next_below(200)));
+    ASSERT_TRUE(dyn.audit().bridges_sound) << "step " << step;
+  }
+  Audit audit = dyn.audit();
+  ASSERT_TRUE(audit.ok());
+  audit.bridges_sound = false;
+  EXPECT_FALSE(audit.ok());
+}
+
 // ---------------------------------------------------------------------------
 // Golden pins
 //

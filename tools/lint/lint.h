@@ -207,7 +207,7 @@ struct Config {
       "assign", "clear",     "erase",  "insert",
       "emplace", "push_back", "resize", "swap"};
   // Calls that mutate backbone state wholesale.
-  std::set<std::string> backbone_mutators = {"rebuild_graph"};
+  std::set<std::string> backbone_mutators = {"link_node", "unlink_node"};
   // Calls that discharge the audit obligation, and the gate whose presence
   // in a branch condition counts as an audit point (the sanctioned
   // `if (check::audits_enabled()) check::audit_invariants(...)` idiom).
