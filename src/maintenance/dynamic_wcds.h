@@ -96,10 +96,10 @@ class DynamicWcds {
   [[nodiscard]] Audit audit() const;
 
   // Liveness watchdog: audit the maintained invariants and, when any fail,
-  // drop every bridge and run a repair pass seeded at every node.  Per-event localized repairs
-  // keep the invariants by construction, so this is the recovery path for
-  // compound fault sequences (crash storms via maintenance::run_crash_schedule)
-  // or external state perturbation.  Returns the all-zero report when the
+  // drop every bridge and run a repair pass seeded at every node.  Per-event
+  // localized repairs keep the invariants by construction, so this is the
+  // recovery path for compound fault sequences (crash storms via
+  // maintenance::run_crash_schedule) or external state perturbation.  Returns the all-zero report when the
   // audit already passed.
   RepairReport watchdog();
 
@@ -112,7 +112,8 @@ class DynamicWcds {
   // Moves u's grid entry from the cell of `from` to the cell of `to`.
   void move_cell(NodeId u, const geom::Point& from, const geom::Point& to);
   // Debug/test tripwire: runs check::audit_invariants (unit-disk bounds,
-  // active-node scope) plus the bridge-completeness audit after `event`.
+  // active-node scope) plus the bridge completeness and soundness audits
+  // after `event`.
   // No-op unless check::audits_enabled().
   void maybe_audit(const char* event) const;
   // Localized repair around `seeds`; `old_region` is the 3-hop ball of the
