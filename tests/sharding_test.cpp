@@ -30,27 +30,6 @@
 namespace wcds {
 namespace {
 
-// `clusters` connected UDGs, spatially separated by far more than the unit
-// radius, with node ids interleaved round-robin across clusters — so every
-// component's id set is non-contiguous and the active-subset plumbing gets
-// no help from memory layout.
-testing::Instance multi_component_udg(std::size_t clusters, std::uint32_t per,
-                                      double degree, std::uint64_t seed) {
-  std::vector<std::vector<geom::Point>> parts(clusters);
-  for (std::size_t i = 0; i < clusters; ++i) {
-    auto inst = testing::connected_udg(per, degree, seed + 101 * i);
-    for (auto& p : inst.points) p.x += 1000.0 * static_cast<double>(i);
-    parts[i] = std::move(inst.points);
-  }
-  testing::Instance out;
-  for (std::uint32_t j = 0; j < per; ++j) {
-    for (std::size_t i = 0; i < clusters; ++i) out.points.push_back(parts[i][j]);
-  }
-  out.g = udg::build_udg(out.points);
-  EXPECT_EQ(graph::connected_components(out.g).count, clusters);
-  return out;
-}
-
 void expect_same_trace(const std::vector<obs::TraceEvent>& a,
                        const std::vector<obs::TraceEvent>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -131,7 +110,7 @@ void expect_same_wcds(const Run& a, const Run& b) {
 template <typename Run>
 void differential_matrix() {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const auto inst = multi_component_udg(4, 25, 8.0, seed);
+    const auto inst = testing::multi_component_udg(4, 25, 8.0, seed);
     for (const bool async : {false, true}) {
       for (const bool faulty : {false, true}) {
         SCOPED_TRACE(::testing::Message() << "seed=" << seed << " async="
@@ -287,7 +266,7 @@ TEST(Sharding, BudgetTripInOneShardFoldsIntoMerge) {
 // component's isolated sub-run on (kind, time, src, dst, type).  (Queue
 // depths differ by construction: the global queue counts every component.)
 TEST(Sharding, MatchesInterleavedGlobalOracle) {
-  const auto inst = multi_component_udg(3, 20, 7.0, 5);
+  const auto inst = testing::multi_component_udg(3, 20, 7.0, 5);
   const sim::Runtime::NodeFactory factory =
       [](NodeId) -> std::unique_ptr<sim::ProtocolNode> {
     return std::make_unique<protocols::Algorithm2Node>();

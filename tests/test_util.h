@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "geom/point.h"
@@ -32,6 +33,29 @@ inline Instance connected_udg(std::uint32_t count, double expected_degree,
   }
   throw std::runtime_error(
       "connected_udg: no connected instance found; density too low");
+}
+
+// `clusters` connected UDGs, spatially separated by far more than the unit
+// radius, with node ids interleaved round-robin across clusters — so every
+// component's id set is non-contiguous and the active-subset plumbing gets
+// no help from memory layout.
+inline Instance multi_component_udg(std::size_t clusters, std::uint32_t per,
+                                    double degree, std::uint64_t seed) {
+  std::vector<std::vector<geom::Point>> parts(clusters);
+  for (std::size_t i = 0; i < clusters; ++i) {
+    auto inst = connected_udg(per, degree, seed + 101 * i);
+    for (auto& p : inst.points) p.x += 1000.0 * static_cast<double>(i);
+    parts[i] = std::move(inst.points);
+  }
+  Instance out;
+  for (std::uint32_t j = 0; j < per; ++j) {
+    for (std::size_t i = 0; i < clusters; ++i) out.points.push_back(parts[i][j]);
+  }
+  out.g = udg::build_udg(out.points);
+  if (graph::connected_components(out.g).count != clusters) {
+    throw std::runtime_error("multi_component_udg: clusters merged");
+  }
+  return out;
 }
 
 // The paper's Figure 2 example shape: a 9-node graph whose WCDS is {1, 2}.
