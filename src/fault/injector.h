@@ -43,6 +43,9 @@ class Injector final : public sim::FaultHook {
   [[nodiscard]] bool drop_copy(std::size_t link_slot) override;
   [[nodiscard]] bool duplicate_copy(std::size_t link_slot) override;
   [[nodiscard]] sim::SimTime extra_delay() override;
+  [[nodiscard]] sim::SimTime max_extra_delay() const override {
+    return plan_.max_jitter;
+  }
   [[nodiscard]] bool receive_blocked(NodeId recipient,
                                      sim::SimTime at) override;
 

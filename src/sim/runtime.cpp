@@ -86,6 +86,10 @@ Runtime::Runtime(const graph::Graph& g, const NodeFactory& factory,
   WCDS_REQUIRE(fault_ == nullptr || policy_ == QueuePolicy::kFlat,
                "Runtime: fault injection requires the flat queue policy "
                "(the reference map exists only as a fault-free oracle)");
+  // Unit delays without jitter put every delivery exactly one step out —
+  // all the two-bucket calendar needs, whatever else the hook does.
+  calendar_ = policy_ == QueuePolicy::kFlat && delays_.is_unit() &&
+              (fault_ == nullptr || fault_->max_extra_delay() == 0);
   if (!delays_.is_unit()) {
     // Zero-initialized clocks need no first-send branch: every real delivery
     // time is >= 1, so max(at, 0 + 1) leaves a first send untouched.
@@ -158,17 +162,37 @@ void Runtime::release_ref(std::uint32_t slot) {
 }
 
 void Runtime::enqueue_flat(const PendingDelivery& delivery) {
-  if (use_calendar()) {
-    // Unit delays: every new delivery is due exactly one step after the one
-    // being processed, so it belongs to the next calendar bucket; appending
-    // preserves seq order within the step.
-    WCDS_DCHECK(bucket_next_.empty() ||
-                    bucket_next_.back().time == delivery.time,
-                "Runtime: calendar bucket time skew");
+  if (!calendar_) {
+    heap_push(delivery);
+  } else if (delivery.time == bucket_time_ + 1) [[likely]] {
+    // Unit delays: a send made while the current step drains is due exactly
+    // one step later, so it belongs to the next bucket; appending preserves
+    // seq order within the step.
     bucket_next_.push_back(delivery);
   } else {
-    heap_push(delivery);
+    enqueue_off_step(delivery);
   }
+}
+
+void Runtime::enqueue_off_step(const PendingDelivery& delivery) {
+  if (bucket_pos_ == bucket_now_.size() && bucket_next_.empty()) {
+    // Nothing in flight (a timer fired after an idle stretch, or the run is
+    // between calls): re-anchor the calendar one step before the delivery.
+    bucket_time_ = delivery.time - 1;
+    bucket_next_.push_back(delivery);
+    return;
+  }
+  // A send made between runs lands at completion_time + 1, which trails the
+  // calendar when the last events before a budget trip were timers or
+  // blocked receives.  Due on the current step, its seq is the largest yet,
+  // so it sorts last in that step.
+  WCDS_REQUIRE_STATE(delivery.time == bucket_time_,
+                     "Runtime: delivery at " << delivery.time
+                         << " cannot join the unit-delay calendar at step "
+                         << bucket_time_ << " (a hook's extra_delay() above "
+                         << "its max_extra_delay(), or a send between runs "
+                         << "behind a budget-tripped calendar)");
+  bucket_now_.push_back(delivery);
 }
 
 void Runtime::heap_push(const PendingDelivery& delivery) {
@@ -186,10 +210,9 @@ void Runtime::timer_push(const TimerEvent& event) {
 Runtime::TimerEvent Runtime::timer_pop() { return pop_min(timer_heap_); }
 
 void Runtime::schedule_timer(NodeId node, SimTime at, std::uint64_t token) {
-  WCDS_REQUIRE_STATE(
-      policy_ == QueuePolicy::kFlat && !use_calendar(),
-      "Runtime: timers require an async delay model or a fault hook (the "
-      "unit-delay calendar cannot host arbitrary-delay events)");
+  WCDS_REQUIRE_STATE(policy_ == QueuePolicy::kFlat,
+                     "Runtime: timers require the flat queue policy (the "
+                     "reference map exists only as a timer-free oracle)");
   timer_push({at, send_seq_, token, node});
   ++send_seq_;
 }
@@ -198,7 +221,7 @@ std::size_t Runtime::queue_size() const {
   // Pending local timers are node-internal clocks, not queued deliveries,
   // so they do not count toward the depth.
   if (policy_ == QueuePolicy::kReferenceMap) return ref_queue_.size();
-  if (use_calendar()) {
+  if (calendar_) {
     return (bucket_now_.size() - bucket_pos_) + bucket_next_.size();
   }
   return heap_.size();
@@ -234,9 +257,12 @@ std::uint32_t Runtime::enqueue_faulty_copy(std::uint32_t slot,
     // Each copy (the duplicate too) draws its own jitter, so duplicates may
     // overtake the original — exactly the reordering a hardened protocol
     // must survive.
-    const SimTime at = delivery_time(link_slot, now) + fault_->extra_delay();
+    const SimTime jitter = fault_->extra_delay();
+    WCDS_DCHECK(jitter <= fault_->max_extra_delay(),
+                "FaultHook: extra_delay() above max_extra_delay()");
     add_ref(slot);
-    heap_push({at, send_seq_, slot, recipient});
+    enqueue_flat({delivery_time(link_slot, now) + jitter, send_seq_, slot,
+                  recipient});
     ++send_seq_;
   }
   return copies;
@@ -450,6 +476,33 @@ void Runtime::apply_topology(const graph::Graph& next) {
   }
 }
 
+void Runtime::deliver(PendingDelivery delivery) {
+  if (fault_ != nullptr &&
+      fault_->receive_blocked(delivery.recipient, delivery.time)) [[unlikely]] {
+    // Recipient radio is off: the copy evaporates without touching delivery
+    // stats or the recipient's state.
+    release_ref(delivery.slot);
+    return;
+  }
+  ++stats_.deliveries;
+  stats_.completion_time = delivery.time;
+  PoolSlot& entry = pool_[delivery.slot];
+  if (recorder_ != nullptr) [[unlikely]] {
+    record_deliver(delivery.time, entry.message.src, delivery.recipient,
+                   entry.message.type);
+  }
+  Context ctx(*this, delivery.recipient, delivery.time);
+  nodes_[delivery.recipient]->on_receive(ctx, entry.message);
+  release_ref(delivery.slot);
+}
+
+void Runtime::fire_next_timer() {
+  const TimerEvent timer = timer_pop();
+  ++stats_.timer_fires;
+  Context ctx(*this, timer.node, timer.time);
+  nodes_[timer.node]->on_timer(ctx, timer.token);
+}
+
 RunStats Runtime::run(std::uint64_t max_events) {
   if (!started_) {
     started_ = true;
@@ -486,67 +539,44 @@ RunStats Runtime::run(std::uint64_t max_events) {
       Context ctx(*this, delivery.recipient, delivery.time);
       nodes_[delivery.recipient]->on_receive(ctx, delivery.message);
     }
-  } else if (use_calendar()) {
-    while (true) {
-      if (bucket_pos_ == bucket_now_.size()) {
-        // Step the calendar: the next bucket becomes current; swap + clear
-        // keeps both capacities, so steady state allocates nothing.
-        bucket_now_.clear();
-        bucket_pos_ = 0;
-        std::swap(bucket_now_, bucket_next_);
-        if (bucket_now_.empty()) break;
-      }
-      if (++events > max_events) {
-        finalize_stats(false);
-        return stats_;
-      }
-      const PendingDelivery delivery = bucket_now_[bucket_pos_++];
-      ++stats_.deliveries;
-      stats_.completion_time = delivery.time;
-      PoolSlot& entry = pool_[delivery.slot];
-      if (recorder_ != nullptr) [[unlikely]] {
-        record_deliver(delivery.time, entry.message.src, delivery.recipient,
-                       entry.message.type);
-      }
-      Context ctx(*this, delivery.recipient, delivery.time);
-      nodes_[delivery.recipient]->on_receive(ctx, entry.message);
-      release_ref(delivery.slot);
-    }
   } else {
-    while (!heap_.empty() || !timer_heap_.empty()) {
+    while (true) {
+      // The earliest in-flight delivery, or null when none is.  The calendar
+      // steps to its next bucket only once no timer is due before it, so a
+      // timer's sends always land one step after the current one.
+      const PendingDelivery* head = nullptr;
+      if (calendar_) {
+        if (bucket_pos_ == bucket_now_.size() && !bucket_next_.empty() &&
+            (timer_heap_.empty() ||
+             timer_heap_.front().time >= bucket_next_.front().time)) {
+          // swap + clear keeps both capacities, so steady state allocates
+          // nothing.
+          bucket_now_.clear();
+          bucket_pos_ = 0;
+          std::swap(bucket_now_, bucket_next_);
+          bucket_time_ = bucket_now_.front().time;
+        }
+        if (bucket_pos_ < bucket_now_.size()) head = &bucket_now_[bucket_pos_];
+      } else if (!heap_.empty()) {
+        head = &heap_.front();
+      }
+      // Deliveries and timers share the (time, seq) key; seq is globally
+      // unique, so the pick is deterministic.
+      const bool timer_next =
+          !timer_heap_.empty() &&
+          (head == nullptr || earlier(timer_heap_.front(), *head));
+      if (head == nullptr && !timer_next) break;
       if (++events > max_events) {
         finalize_stats(false);
         return stats_;
       }
-      // Merge the delivery and timer heaps on the shared (time, seq) key;
-      // seq is globally unique, so the pick is deterministic.
-      if (!timer_heap_.empty() &&
-          (heap_.empty() || earlier(timer_heap_.front(), heap_.front()))) {
-        const TimerEvent timer = timer_pop();
-        ++stats_.timer_fires;
-        Context ctx(*this, timer.node, timer.time);
-        nodes_[timer.node]->on_timer(ctx, timer.token);
-        continue;
+      if (timer_next) {
+        fire_next_timer();
+      } else if (calendar_) {
+        deliver(bucket_now_[bucket_pos_++]);
+      } else {
+        deliver(heap_pop());
       }
-      const PendingDelivery delivery = heap_pop();
-      if (fault_ != nullptr &&
-          fault_->receive_blocked(delivery.recipient, delivery.time))
-          [[unlikely]] {
-        // Recipient radio is off: the copy evaporates without touching
-        // delivery stats or the recipient's state.
-        release_ref(delivery.slot);
-        continue;
-      }
-      ++stats_.deliveries;
-      stats_.completion_time = delivery.time;
-      PoolSlot& entry = pool_[delivery.slot];
-      if (recorder_ != nullptr) [[unlikely]] {
-        record_deliver(delivery.time, entry.message.src, delivery.recipient,
-                       entry.message.type);
-      }
-      Context ctx(*this, delivery.recipient, delivery.time);
-      nodes_[delivery.recipient]->on_receive(ctx, entry.message);
-      release_ref(delivery.slot);
     }
   }
   finalize_stats(true);

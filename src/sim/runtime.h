@@ -22,12 +22,16 @@
 // Hot-path design (docs/PERFORMANCE.md): the event queue is allocation-free
 // per delivery.  A broadcast interns its payload ONCE in a recycled message
 // pool; each of the d recipients enqueues a 24-byte POD PendingDelivery
-// referencing the shared slot.  Under unit delays every delivery lands at
-// now+1, so a two-bucket rotating calendar replaces the priority queue
-// entirely; under random delays a flat binary min-heap over a contiguous
-// vector keyed by (time, seq) is used.  The original std::map-based queue
-// survives behind QueuePolicy::kReferenceMap purely as a differential-test
-// and benchmark baseline, mirroring udg::build_udg_reference.
+// referencing the shared slot.  The queue is chosen once, at construction,
+// from a bound on delay: under unit delays with a fault hook whose
+// max_extra_delay() is 0 (or no hook) every delivery lands at now+1, so a
+// two-bucket rotating calendar replaces the priority queue entirely; under
+// random delays or jitter a flat binary min-heap over a contiguous vector
+// keyed by (time, seq) is used.  Local timers live in their own (time, seq)
+// heap that the drain loop merges with either queue.  The original
+// std::map-based queue survives behind QueuePolicy::kReferenceMap purely as
+// a differential-test and benchmark baseline, mirroring
+// udg::build_udg_reference.
 #pragma once
 
 #include <cstdint>
@@ -123,8 +127,7 @@ class Context {
   // after `delay` time units.  Timers are node-internal clocks — they do
   // not touch the radio, are never faulted (a crashed node's CPU keeps
   // ticking; only its radio is off), and count neither as transmissions nor
-  // deliveries.  Only available under an async delay model or a fault hook
-  // (the unit-delay calendar cannot host arbitrary-delay events).
+  // deliveries.  Requires the flat queue policy (either delay regime).
   void set_timer(SimTime delay, std::uint64_t token);
 
  private:
@@ -176,12 +179,13 @@ class Runtime {
 
   // `faults` (null by default) injects deterministic message loss,
   // duplication, delay noise and node crashes into the delivery path; see
-  // sim/fault_hook.h for the contract.  A non-null hook selects the
-  // (time, seq) min-heap queue even under unit delays — the rotating
-  // calendar assumes every delivery lands exactly one step out, which
-  // jitter and timers break — and requires the flat queue policy.  The
-  // null-hook path is byte-identical to a runtime built without the
-  // parameter (guarded by tests/fault_test.cpp).
+  // sim/fault_hook.h for the contract.  A hook requires the flat queue
+  // policy.  The queue is picked here, once: unit delays plus a hook whose
+  // max_extra_delay() is 0 keep the two-bucket calendar (every copy still
+  // lands one step out); jitter or an async delay model select the
+  // (time, seq) min-heap.  Both pop in (time, seq) order, so the choice
+  // never changes a trace.  The null-hook path is byte-identical to a
+  // runtime built without the parameter (guarded by tests/fault_test.cpp).
   //
   // `active` (empty by default = every node) restricts the runtime to a
   // subset of the graph's nodes: only active nodes get a ProtocolNode and an
@@ -242,6 +246,9 @@ class Runtime {
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] QueuePolicy queue_policy() const noexcept { return policy_; }
   [[nodiscard]] FaultHook* fault_hook() const noexcept { return fault_; }
+  // True when deliveries run on the two-bucket unit-delay calendar rather
+  // than the (time, seq) heap; fixed at construction.
+  [[nodiscard]] bool uses_calendar() const noexcept { return calendar_; }
   // Deepest queue observed while a recorder was installed (0 otherwise); the
   // shard merge layer folds these with set_max across components.
   [[nodiscard]] std::uint64_t max_queue_depth() const noexcept {
@@ -300,14 +307,16 @@ class Runtime {
 
   // Flat-queue primitives.
   void enqueue_flat(const PendingDelivery& delivery);
+  // Calendar slow path for a delivery not due one step after the current
+  // one: the first send after an idle stretch, or a send made between runs.
+  void enqueue_off_step(const PendingDelivery& delivery);
   void heap_push(const PendingDelivery& delivery);
   [[nodiscard]] PendingDelivery heap_pop();
 
-  // Whether unit-delay deliveries may use the two-bucket calendar (false
-  // once a fault hook is installed: jitter and timers need the heap).
-  [[nodiscard]] bool use_calendar() const {
-    return delays_.is_unit() && fault_ == nullptr;
-  }
+  // The one delivery body of the flat drain loop, calendar or heap: applies
+  // receive_blocked, the stats, the recorder and release_ref.
+  void deliver(PendingDelivery delivery);
+  void fire_next_timer();
 
   // Local timer events; ordered with deliveries by the shared (time, seq)
   // key, so runs stay exactly reproducible.
@@ -348,19 +357,23 @@ class Runtime {
   QueuePolicy policy_;
 
   // Flat queue, unit-delay calendar: every in-flight delivery is due either
-  // at the time step being drained (bucket_now_[bucket_pos_..]) or one step
-  // later (bucket_next_, appended in send order == seq order).  swap() +
-  // clear() per step keeps the capacity, so steady state allocates nothing.
+  // at the time step being drained (bucket_now_[bucket_pos_..], due at
+  // bucket_time_) or one step later (bucket_next_, appended in send order ==
+  // seq order).  swap() + clear() per step keeps the capacity, so steady
+  // state allocates nothing.
   std::vector<PendingDelivery> bucket_now_;
   std::vector<PendingDelivery> bucket_next_;
   std::size_t bucket_pos_ = 0;
+  SimTime bucket_time_ = 0;
 
-  // Flat queue, async: binary min-heap over a contiguous vector, keyed by
-  // (time, seq).  seq is unique, so the order is total and deterministic.
+  // Flat queue, async or jitter: binary min-heap over a contiguous vector,
+  // keyed by (time, seq).  seq is unique, so the order is total and
+  // deterministic.
   std::vector<PendingDelivery> heap_;
 
   // Timer min-heap, same (time, seq) key; only populated by Context::
-  // set_timer (the fault transport's retransmit clock).
+  // set_timer (the fault transport's retransmit clock).  The drain loop
+  // fires a timer whenever it is due before the next delivery.
   std::vector<TimerEvent> timer_heap_;
 
   // Message pool.  A deque gives stable references: a handler may broadcast
@@ -390,6 +403,8 @@ class Runtime {
   std::vector<SimTime> link_clock_;
   obs::Recorder* recorder_ = nullptr;
   FaultHook* fault_ = nullptr;
+  // Deliveries run on the calendar (else the heap); chosen by the ctor.
+  bool calendar_ = false;
   std::uint64_t max_queue_depth_ = 0;  // tracked only while recording
 };
 

@@ -1,22 +1,31 @@
-// Differential suite for the sim's two event-queue implementations
+// Differential suite for the sim's event-queue implementations
 // (docs/PERFORMANCE.md).
 //
 // The flat queue (pooled payloads + calendar/heap) must be observationally
 // identical to the reference std::map queue it replaced: the same delivery
 // sequence — every trace event's (kind, time, src, dst, type, queue depth) —
 // the same RunStats, and the same WCDS, across both algorithms, both delay
-// regimes and many seeds.  A counting-allocator test then pins down the
-// point of the exercise: the flat broadcast path performs no per-delivery
-// heap allocation.
+// regimes and many seeds.  Within the flat queue, the unit-delay calendar
+// must match the (time, seq) heap under jitter-free fault plans and with
+// local timers merged in, including the timer edge cases of the merged
+// drain loop.  A counting-allocator test then pins down the point of the
+// exercise: the flat broadcast path performs no per-delivery heap
+// allocation.
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
+#include <memory>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "facade/build.h"
+#include "fault/hardened.h"
+#include "fault/injector.h"
+#include "fault/plan.h"
 #include "graph/graph.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
@@ -139,6 +148,330 @@ TEST(RuntimeQueueDifferential, FacadeModesAgreeAcrossQueuePolicies) {
     EXPECT_EQ(flat.result.dominators, map.result.dominators);
     EXPECT_EQ(flat.stats, map.stats);
   }
+}
+
+// Forwards every decision to a fault::Injector but claims one tick of
+// jitter, which makes the runtime pick the (time, seq) heap even though
+// every copy still lands one step out.
+class HeapForcingHook final : public sim::FaultHook {
+ public:
+  explicit HeapForcingHook(fault::Injector& inner) : inner_(inner) {}
+  bool send_blocked(NodeId src, sim::SimTime now) override {
+    return inner_.send_blocked(src, now);
+  }
+  bool drop_copy(std::size_t link_slot) override {
+    return inner_.drop_copy(link_slot);
+  }
+  bool duplicate_copy(std::size_t link_slot) override {
+    return inner_.duplicate_copy(link_slot);
+  }
+  sim::SimTime extra_delay() override { return inner_.extra_delay(); }
+  sim::SimTime max_extra_delay() const override { return 1; }
+  bool receive_blocked(NodeId recipient, sim::SimTime at) override {
+    return inner_.receive_blocked(recipient, at);
+  }
+
+ private:
+  fault::Injector& inner_;
+};
+
+struct HardenedRawRun {
+  TracedRun traced;
+  fault::TransportStats transport;
+  fault::Injector::Counters counters;
+  bool calendar = false;
+};
+
+// Both algorithms wrapped in the hardened transport (retransmit timers
+// included) on a raw runtime, with the plan's injector installed directly
+// or behind HeapForcingHook.
+HardenedRawRun hardened_raw_run(const graph::Graph& g, bool alg1,
+                                const fault::Plan& plan, bool force_heap) {
+  fault::Injector injector(plan, g.node_count());
+  HeapForcingHook forcing(injector);
+  obs::Recorder recorder;
+  obs::MemoryTraceSink sink;
+  recorder.set_trace_sink(&sink);
+  const sim::Runtime::NodeFactory factory =
+      [alg1](NodeId) -> std::unique_ptr<sim::ProtocolNode> {
+    if (alg1) {
+      return std::make_unique<fault::HardenedNode>(
+          std::make_unique<protocols::Algorithm1Node>());
+    }
+    return std::make_unique<fault::HardenedNode>(
+        std::make_unique<protocols::Algorithm2Node>());
+  };
+  sim::Runtime rt(g, factory, sim::DelayModel::unit(), &recorder,
+                  sim::QueuePolicy::kFlat,
+                  force_heap ? static_cast<sim::FaultHook*>(&forcing)
+                             : &injector);
+  HardenedRawRun out;
+  out.traced.stats = rt.run();
+  out.traced.events = sink.events();
+  out.transport = fault::collect_transport_stats(rt);
+  out.counters = injector.counters();
+  out.calendar = rt.uses_calendar();
+  return out;
+}
+
+// Jitter-free plans run on the calendar; the same decisions replayed on the
+// heap must give the same trace, RunStats, transport and injector counters.
+TEST(RuntimeQueueDifferential, CalendarMatchesHeapUnderFaultPlans) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const auto inst = wcds::testing::connected_udg(60, 8.0, seed);
+    fault::Plan with_crashes = fault::Plan::lossy(0.15, seed);
+    with_crashes.crash(static_cast<NodeId>(seed % 60), 3, 25);
+    with_crashes.crash(static_cast<NodeId>((7 * seed) % 60), 10, 40);
+    const fault::Plan plans[] = {fault::Plan::lossy(0.1, seed),
+                                 fault::Plan::chaos(0.1, 0.1, 0, seed),
+                                 with_crashes};
+    for (std::size_t p = 0; p < std::size(plans); ++p) {
+      for (const bool alg1 : {true, false}) {
+        SCOPED_TRACE(::testing::Message() << "seed=" << seed << " plan=" << p
+                                          << " alg1=" << alg1);
+        const auto calendar = hardened_raw_run(inst.g, alg1, plans[p], false);
+        const auto heap = hardened_raw_run(inst.g, alg1, plans[p], true);
+        EXPECT_TRUE(calendar.calendar);
+        EXPECT_FALSE(heap.calendar);
+        EXPECT_TRUE(calendar.traced.stats.quiescent);
+        EXPECT_GT(calendar.traced.stats.timer_fires, 0u);
+        expect_same_trace(calendar.traced, heap.traced);
+        EXPECT_EQ(calendar.transport, heap.transport);
+        EXPECT_EQ(calendar.counters, heap.counters);
+      }
+    }
+  }
+}
+
+TEST(RuntimeQueueDifferential, QueueChoiceFollowsTheDelayBound) {
+  const auto g = graph::from_edges(2, {{0, 1}});
+  const auto factory = [](NodeId) -> std::unique_ptr<sim::ProtocolNode> {
+    return std::make_unique<protocols::Algorithm2Node>();
+  };
+  fault::Injector lossy(fault::Plan::lossy(0.5, 1), 2);
+  fault::Injector jitter(fault::Plan::chaos(0.0, 0.0, 2, 1), 2);
+  const auto uses_calendar = [&](const sim::DelayModel& delays,
+                                 sim::QueuePolicy policy,
+                                 sim::FaultHook* hook) {
+    return sim::Runtime(g, factory, delays, nullptr, policy, hook)
+        .uses_calendar();
+  };
+  const auto unit = sim::DelayModel::unit();
+  const auto async = sim::DelayModel::uniform(1, 3, 1);
+  EXPECT_TRUE(uses_calendar(unit, sim::QueuePolicy::kFlat, nullptr));
+  EXPECT_TRUE(uses_calendar(unit, sim::QueuePolicy::kFlat, &lossy));
+  EXPECT_FALSE(uses_calendar(unit, sim::QueuePolicy::kFlat, &jitter));
+  EXPECT_FALSE(uses_calendar(async, sim::QueuePolicy::kFlat, nullptr));
+  EXPECT_FALSE(uses_calendar(async, sim::QueuePolicy::kFlat, &lossy));
+  EXPECT_FALSE(uses_calendar(unit, sim::QueuePolicy::kReferenceMap, nullptr));
+}
+
+// --- Timers on the calendar ------------------------------------------------
+
+// Hop-limited gossip that mixes direct sends with timer-driven ones.  A
+// token with h hops left is rebroadcast at once when h is odd; when h is
+// even a timer rebroadcasts it later: after 0 ticks (due before the next
+// calendar bucket) or after 9 ticks (long after the radio has gone quiet).
+// Token kSilent arms a timer that sends nothing.
+class TimerGossipNode final : public sim::ProtocolNode {
+ public:
+  static constexpr std::uint64_t kSilent = 1000;
+
+  explicit TimerGossipNode(NodeId id) : id_(id) {}
+
+  void on_start(sim::Context& ctx) override {
+    switch (id_ % 4) {
+      case 0: ctx.broadcast(1, {5}); break;
+      case 1: ctx.set_timer(0, 4); break;
+      case 2: ctx.set_timer(12, 3); break;
+      default: ctx.set_timer(40, kSilent); break;
+    }
+  }
+  void on_receive(sim::Context& ctx, const sim::Message& msg) override {
+    const std::uint32_t hops = msg.payload[0];
+    if (hops == 0) return;
+    if (hops % 2 == 1) {
+      ctx.broadcast(1, {hops - 1});
+    } else {
+      ctx.set_timer(hops % 4 == 0 ? 9 : 0, hops - 1);
+    }
+  }
+  void on_timer(sim::Context& ctx, std::uint64_t token) override {
+    fired_at.push_back(ctx.now());
+    if (token == kSilent) return;
+    ctx.broadcast(2, {static_cast<std::uint32_t>(token)});
+  }
+
+  std::vector<sim::SimTime> fired_at;
+
+ private:
+  NodeId id_;
+};
+
+// Runs TimerGossipNode on `g` under unit delays with no fault hook (the
+// calendar) or with a trivial injector behind HeapForcingHook (the heap),
+// letting `drive` call run() / with_node as it likes.
+template <typename Drive>
+TracedRun gossip_run(const graph::Graph& g, bool force_heap, Drive&& drive) {
+  fault::Injector trivial(fault::Plan{}, g.node_count());
+  HeapForcingHook forcing(trivial);
+  obs::Recorder recorder;
+  obs::MemoryTraceSink sink;
+  recorder.set_trace_sink(&sink);
+  sim::Runtime rt(
+      g, [](NodeId u) { return std::make_unique<TimerGossipNode>(u); },
+      sim::DelayModel::unit(), &recorder, sim::QueuePolicy::kFlat,
+      force_heap ? &forcing : nullptr);
+  EXPECT_EQ(rt.uses_calendar(), !force_heap);
+  drive(rt);
+  TracedRun out;
+  out.stats = rt.stats();
+  out.events = sink.events();
+  for (NodeId u = 0; u < g.node_count(); ++u) {
+    for (const sim::SimTime at :
+         static_cast<const TimerGossipNode&>(rt.node(u)).fired_at) {
+      out.dominators.push_back(static_cast<NodeId>(at));  // timer log
+    }
+  }
+  return out;
+}
+
+// A 12-ring with two chords: small enough that the gossip stays bounded.
+graph::Graph gossip_graph() {
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId u = 0; u < 12; ++u) edges.push_back({u, (u + 1) % 12});
+  edges.push_back({0, 6});
+  edges.push_back({3, 9});
+  return graph::from_edges(12, edges);
+}
+
+TEST(CalendarTimers, NullHookUnitDelayTimersMatchTheHeap) {
+  const auto g = gossip_graph();
+  const auto run_once = [](sim::Runtime& rt) {
+    EXPECT_TRUE(rt.run().quiescent);
+  };
+  const auto calendar = gossip_run(g, false, run_once);
+  const auto heap = gossip_run(g, true, run_once);
+  EXPECT_GT(calendar.stats.timer_fires, 0u);
+  EXPECT_GT(calendar.stats.deliveries, 0u);
+  expect_same_trace(calendar, heap);
+}
+
+// Two nodes: node 0 broadcasts and arms a 0-tick timer at time 0, so the
+// timer is due before the first calendar bucket (time 1) and its own
+// broadcast joins that bucket behind the first one.
+TEST(CalendarTimers, TimerDueBeforeTheNextBucketFiresFirst) {
+  class Starter final : public sim::ProtocolNode {
+   public:
+    explicit Starter(NodeId id) : id_(id) {}
+    void on_start(sim::Context& ctx) override {
+      if (id_ != 0) return;
+      ctx.broadcast(1);
+      ctx.set_timer(0, 7);
+    }
+    void on_receive(sim::Context& ctx, const sim::Message& msg) override {
+      heard.emplace_back(ctx.now(), msg.type);
+    }
+    void on_timer(sim::Context& ctx, std::uint64_t token) override {
+      EXPECT_EQ(ctx.now(), 0u);
+      EXPECT_EQ(token, 7u);
+      ctx.broadcast(2);
+    }
+    std::vector<std::pair<sim::SimTime, sim::MessageType>> heard;
+
+   private:
+    NodeId id_;
+  };
+  const auto g = graph::from_edges(2, {{0, 1}});
+  sim::Runtime rt(g, [](NodeId u) { return std::make_unique<Starter>(u); });
+  ASSERT_TRUE(rt.uses_calendar());
+  const auto stats = rt.run();
+  EXPECT_TRUE(stats.quiescent);
+  EXPECT_EQ(stats.timer_fires, 1u);
+  EXPECT_EQ(stats.completion_time, 1u);
+  using Heard = std::vector<std::pair<sim::SimTime, sim::MessageType>>;
+  EXPECT_EQ(static_cast<const Starter&>(rt.node(1)).heard,
+            (Heard{{1, 1}, {1, 2}}));
+}
+
+// Nothing in flight for a long stretch, only a pending timer: the calendar
+// jumps to the timer and re-anchors on its sends.
+TEST(CalendarTimers, IdleStretchWithOnlyTimersPending) {
+  class Sleeper final : public sim::ProtocolNode {
+   public:
+    void on_start(sim::Context& ctx) override {
+      if (ctx.self() == 0) ctx.set_timer(20, 1);
+    }
+    void on_receive(sim::Context& ctx, const sim::Message& msg) override {
+      if (msg.type == 1) ctx.set_timer(30, 2);
+    }
+    void on_timer(sim::Context& ctx, std::uint64_t token) override {
+      ctx.broadcast(static_cast<sim::MessageType>(token));
+    }
+  };
+  const auto g = graph::from_edges(3, {{0, 1}, {1, 2}});
+  sim::Runtime rt(g, [](NodeId) { return std::make_unique<Sleeper>(); });
+  ASSERT_TRUE(rt.uses_calendar());
+  const auto stats = rt.run();
+  EXPECT_TRUE(stats.quiescent);
+  // Node 0 wakes at 20 (delivery at 21); node 1 wakes at 51 (deliveries at
+  // 52 to nodes 0 and 2).
+  EXPECT_EQ(stats.timer_fires, 2u);
+  EXPECT_EQ(stats.transmissions, 2u);
+  EXPECT_EQ(stats.deliveries, 3u);
+  EXPECT_EQ(stats.completion_time, 52u);
+
+  const auto gossip = gossip_graph();
+  const auto run_once = [](sim::Runtime& runtime) {
+    EXPECT_TRUE(runtime.run().quiescent);
+  };
+  const auto calendar = gossip_run(gossip, false, run_once);
+  // Token 4 waits 9 ticks and the silent timers fire at 40, well after the
+  // last delivery.
+  EXPECT_GT(calendar.stats.timer_fires, 0u);
+  expect_same_trace(calendar, gossip_run(gossip, true, run_once));
+}
+
+// A budget that trips mid-bucket (and mid-timer-stretch), then resumed
+// run() calls: the stitched trace equals one uninterrupted run, on the
+// calendar and on the heap alike.
+TEST(CalendarTimers, BudgetTripMidBucketThenResume) {
+  const auto g = gossip_graph();
+  const auto whole = gossip_run(g, false, [](sim::Runtime& rt) {
+    EXPECT_TRUE(rt.run().quiescent);
+  });
+  for (const std::uint64_t budget : {1U, 2U, 3U, 5U, 7U, 11U, 40U}) {
+    SCOPED_TRACE(::testing::Message() << "budget=" << budget);
+    const auto chunked = [budget](sim::Runtime& rt) {
+      int trips = 0;
+      while (!rt.run(budget).quiescent) ++trips;
+      EXPECT_GT(trips, 0);
+    };
+    expect_same_trace(gossip_run(g, false, chunked), whole);
+    expect_same_trace(gossip_run(g, true, chunked), whole);
+  }
+}
+
+// The gossip run ends on the silent timer at 40, long after the last
+// delivery, so with_node sends at completion_time + 1 — a step behind the
+// timer that fired last.
+TEST(CalendarTimers, WithNodeAfterARunEndingInATimer) {
+  const auto g = gossip_graph();
+  const auto drive = [](sim::Runtime& rt) {
+    const auto first = rt.run();
+    EXPECT_TRUE(first.quiescent);
+    EXPECT_LT(first.completion_time, 40u);
+    rt.with_node(5, [](sim::Context& ctx, sim::ProtocolNode&) {
+      ctx.broadcast(1, {3});
+    });
+    const auto second = rt.run();
+    EXPECT_TRUE(second.quiescent);
+    EXPECT_GT(second.deliveries, first.deliveries);
+    EXPECT_GT(second.completion_time, first.completion_time);
+  };
+  const auto calendar = gossip_run(g, false, drive);
+  const auto heap = gossip_run(g, true, drive);
+  expect_same_trace(calendar, heap);
 }
 
 // A protocol that floods forever: every node broadcasts on start; every
