@@ -80,7 +80,8 @@ BuildReport build(const graph::Graph& g, const BuildOptions& options) {
       // The MIS fixpoint is timing-independent, so the centralized list
       // computation reproduces the protocol's dominator knowledge (the
       // differential suite pins this down).
-      report.lists = compute_dominator_lists(g, report.mis);
+      report.lists =
+          compute_dominator_lists(g, report.mis, options.threads);
       break;
     }
   }

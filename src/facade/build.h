@@ -77,8 +77,9 @@ struct BuildOptions {
   // connected graph).
   sim::ExecutionPolicy execution = sim::ExecutionPolicy::kComponentSharded;
 
-  // Protocol modes only: thread count for the sharded runner (0 = the
-  // WCDS_THREADS env / hardware default, 1 = inline serial).
+  // Protocol modes only: thread count for the sharded runner and for
+  // kAlgorithm2Protocol's dominator-list pass (0 = the WCDS_THREADS env /
+  // hardware default, 1 = inline serial).
   std::size_t threads = 0;
 
   // Fault-tolerance target (wcds/resilient.h).  The default {1, 1} is the

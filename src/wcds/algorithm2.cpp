@@ -7,6 +7,7 @@
 #include "check/check.h"
 #include "graph/bfs.h"
 #include "obs/recorder.h"
+#include "parallel/thread_pool.h"
 
 namespace wcds::core {
 namespace {
@@ -25,25 +26,31 @@ bool in_two_hop(const DominatorLists& lists, NodeId u, NodeId d) {
 }  // namespace
 
 DominatorLists compute_dominator_lists(const graph::Graph& g,
-                                       const mis::MisResult& s) {
+                                       const mis::MisResult& s,
+                                       std::size_t threads) {
   const std::size_t n = g.node_count();
   DominatorLists lists;
   lists.one_hop.assign(n, {});
   lists.two_hop.assign(n, {});
   lists.three_hop.assign(n, {});
+  parallel::ThreadPool& pool = parallel::pool_for(threads);
+  constexpr std::size_t kGrain = 256;
 
-  for (NodeId u = 0; u < n; ++u) {
+  pool.parallel_for(0, n, kGrain, [&](std::size_t i) {
+    const auto u = static_cast<NodeId>(i);
     for (NodeId v : g.neighbors(u)) {
       if (s.mask[v]) lists.one_hop[u].push_back(v);
     }
     // neighbors() is sorted, so one_hop is sorted.
-  }
+  });
 
   // A dominator d is in u's 2HopDomList iff d is not u, not adjacent to u,
   // and reachable through some neighbor v of u.  One entry per dominator,
   // with the smallest intermediate, mirroring a deterministic run of the
-  // distributed "1-HOP-DOMINATORS" exchange.
-  for (NodeId u = 0; u < n; ++u) {
+  // distributed "1-HOP-DOMINATORS" exchange.  Reads the finished one-hop
+  // rows only, so the pass parallelizes over u like the first.
+  pool.parallel_for(0, n, kGrain, [&](std::size_t i) {
+    const auto u = static_cast<NodeId>(i);
     std::vector<TwoHopEntry> found;
     for (NodeId v : g.neighbors(u)) {
       for (NodeId d : lists.one_hop[v]) {
@@ -57,7 +64,7 @@ DominatorLists compute_dominator_lists(const graph::Graph& g,
     for (const TwoHopEntry& e : found) {
       if (out.empty() || out.back().dom != e.dom) out.push_back(e);
     }
-  }
+  });
   return lists;
 }
 

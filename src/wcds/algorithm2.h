@@ -31,9 +31,13 @@ struct DominatorLists {
 
 // Populate one_hop (adjacent MIS-dominators) and two_hop (MIS-dominators at
 // exactly two hops, one entry per dominator with the smallest intermediate)
-// for every node, given the MIS S.
+// for every node, given the MIS S.  `threads` sizes the pool that runs the
+// one-hop pass and then the two-hop pass per node (0 = the WCDS_THREADS env
+// / hardware default, 1 = inline serial); every node writes only its own
+// row, so the lists are identical at any thread count.
 [[nodiscard]] DominatorLists compute_dominator_lists(const graph::Graph& g,
-                                                     const mis::MisResult& s);
+                                                     const mis::MisResult& s,
+                                                     std::size_t threads = 1);
 
 struct Algorithm2Options {
   // How to pick the additional-dominator among the candidate intermediates

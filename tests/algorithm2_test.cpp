@@ -32,6 +32,20 @@ TEST(DominatorLists, PathGraph) {
   EXPECT_TRUE(lists.two_hop[3].empty());
 }
 
+// Each node writes only its own row, so any thread count gives the same
+// lists (the pool's chunking must not leak into the output).
+TEST(DominatorLists, IdenticalAtAnyThreadCount) {
+  const auto inst = testing::connected_udg(3000, 10.0, 4);
+  const auto s = mis::greedy_mis_by_id(inst.g);
+  const auto serial = compute_dominator_lists(inst.g, s, 1);
+  for (const std::size_t threads : {2U, 8U}) {
+    const auto parallel = compute_dominator_lists(inst.g, s, threads);
+    EXPECT_EQ(parallel.one_hop, serial.one_hop) << "threads " << threads;
+    EXPECT_EQ(parallel.two_hop, serial.two_hop) << "threads " << threads;
+    EXPECT_EQ(parallel.three_hop.size(), serial.three_hop.size());
+  }
+}
+
 TEST(Algorithm2, RejectsEmptyAndDisconnected) {
   graph::GraphBuilder empty(0);
   EXPECT_THROW(algorithm2(std::move(empty).build()), std::invalid_argument);

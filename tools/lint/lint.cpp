@@ -418,7 +418,8 @@ Config default_config() {
       {"udg", {"check", "geom", "graph", "obs"}},
       {"mis", {"check", "geom", "graph", "obs"}},
       {"wcds",
-       {"audit", "check", "geom", "graph", "mis", "obs", "wcds_types"}},
+       {"audit", "check", "geom", "graph", "mis", "obs", "parallel",
+        "wcds_types"}},
       {"audit", {"check", "geom", "graph", "mis", "wcds_types"}},
       {"spanner",
        {"audit", "check", "geom", "graph", "obs", "parallel", "wcds_types"}},
