@@ -297,21 +297,19 @@ class TimerGossipNode final : public sim::ProtocolNode {
     }
   }
   void on_timer(sim::Context& ctx, std::uint64_t token) override {
-    fired_at.push_back(ctx.now());
     if (token == kSilent) return;
     ctx.broadcast(2, {static_cast<std::uint32_t>(token)});
   }
-
-  std::vector<sim::SimTime> fired_at;
 
  private:
   NodeId id_;
 };
 
-// Runs TimerGossipNode on `g` under unit delays with no fault hook (the
-// calendar) or with a trivial injector behind HeapForcingHook (the heap),
-// letting `drive` call run() / with_node as it likes.
-template <typename Drive>
+// Runs `Node` (constructed from its id) on `g` under unit delays with no
+// fault hook (the calendar) or with a trivial injector behind
+// HeapForcingHook (the heap), letting `drive` call run() / with_node as it
+// likes.
+template <typename Node = TimerGossipNode, typename Drive>
 TracedRun gossip_run(const graph::Graph& g, bool force_heap, Drive&& drive) {
   fault::Injector trivial(fault::Plan{}, g.node_count());
   HeapForcingHook forcing(trivial);
@@ -319,7 +317,7 @@ TracedRun gossip_run(const graph::Graph& g, bool force_heap, Drive&& drive) {
   obs::MemoryTraceSink sink;
   recorder.set_trace_sink(&sink);
   sim::Runtime rt(
-      g, [](NodeId u) { return std::make_unique<TimerGossipNode>(u); },
+      g, [](NodeId u) { return std::make_unique<Node>(u); },
       sim::DelayModel::unit(), &recorder, sim::QueuePolicy::kFlat,
       force_heap ? &forcing : nullptr);
   EXPECT_EQ(rt.uses_calendar(), !force_heap);
@@ -327,12 +325,6 @@ TracedRun gossip_run(const graph::Graph& g, bool force_heap, Drive&& drive) {
   TracedRun out;
   out.stats = rt.stats();
   out.events = sink.events();
-  for (NodeId u = 0; u < g.node_count(); ++u) {
-    for (const sim::SimTime at :
-         static_cast<const TimerGossipNode&>(rt.node(u)).fired_at) {
-      out.dominators.push_back(static_cast<NodeId>(at));  // timer log
-    }
-  }
   return out;
 }
 
@@ -472,6 +464,41 @@ TEST(CalendarTimers, WithNodeAfterARunEndingInATimer) {
   const auto calendar = gossip_run(g, false, drive);
   const auto heap = gossip_run(g, true, drive);
   expect_same_trace(calendar, heap);
+}
+
+// A budget that trips where the calendar has just stepped: the next bucket
+// is already current, so with_node's sends (at completion_time + 1) are
+// due on the current step and must sort after its deliveries.  Budgets
+// that trip mid-bucket take the ordinary next-step path.
+TEST(CalendarTimers, WithNodeAfterABudgetTripAtAStepBoundary) {
+  // Hop-limited flooding without timers: every node relays a token with
+  // hops left once per copy it hears.
+  class Relay final : public sim::ProtocolNode {
+   public:
+    explicit Relay(NodeId id) : id_(id) {}
+    void on_start(sim::Context& ctx) override {
+      if (id_ == 0) ctx.broadcast(1, {4});
+    }
+    void on_receive(sim::Context& ctx, const sim::Message& msg) override {
+      if (msg.payload[0] > 0) ctx.broadcast(1, {msg.payload[0] - 1});
+    }
+
+   private:
+    NodeId id_;
+  };
+  const auto path = graph::from_edges(4, {{0, 1}, {1, 2}, {2, 3}});
+  for (const std::uint64_t budget : {1U, 2U, 3U, 4U, 5U, 6U}) {
+    SCOPED_TRACE(::testing::Message() << "budget=" << budget);
+    const auto drive = [budget](sim::Runtime& rt) {
+      EXPECT_FALSE(rt.run(budget).quiescent);
+      rt.with_node(3, [](sim::Context& ctx, sim::ProtocolNode&) {
+        ctx.broadcast(1, {2});
+      });
+      EXPECT_TRUE(rt.run().quiescent);
+    };
+    expect_same_trace(gossip_run<Relay>(path, false, drive),
+                      gossip_run<Relay>(path, true, drive));
+  }
 }
 
 // A protocol that floods forever: every node broadcasts on start; every
