@@ -6,8 +6,7 @@
 //  1. Transparency — a null fault plan leaves the runtime byte-identical to
 //     the pre-fault-layer behavior (same traces, same stats, no added
 //     allocations), and a *trivial* plan behaves exactly like a null hook
-//     even though it routes through the (time, seq) heap instead of the
-//     unit-delay calendar.
+//     on the unit-delay calendar and under async delays on the heap.
 //  2. Convergence — under the issue's acceptance fault regime
 //     (drop=0.2, dup=0.05, crash/recover events) both distributed
 //     algorithms still reach quiescence with an audit-clean WCDS, across
