@@ -1,11 +1,14 @@
 // Experiment A5: simulator hot-path performance.
 //
-// A5a times Runtime::run end-to-end for both distributed algorithms under
-// both delay regimes, comparing the production flat event queue (pooled
-// broadcast payloads + two-bucket calendar / binary heap) against the
-// reference std::map queue it replaced (docs/PERFORMANCE.md).  Both queues
-// deliver in identical (time, seq) order — tests/runtime_queue_test.cpp
-// proves it — so the speedup column is a pure data-structure effect.
+// A5a times both distributed algorithms under both delay regimes on the
+// production sim::Runtime (pooled broadcast payloads + two-bucket calendar /
+// binary heap) and on sim::ReferenceRuntime, the std::map queue it replaced,
+// kept as a test-only oracle (tests/oracle/, docs/PERFORMANCE.md).  Each
+// column constructs its runtime over the same node factory and runs it to
+// quiescence.  Both deliver in identical (time, seq) order —
+// tests/runtime_queue_test.cpp proves it trace by trace, and the
+// a5/identical/* gauges re-check RunStats and dominators here — so the
+// speedup column is a pure data-structure effect.
 //
 // A5b times the spanner dilation analysis serially (one lane) and on the
 // WCDS_THREADS pool; outputs are byte-identical by construction
@@ -18,6 +21,7 @@
 #include <map>
 
 #include "bench_support/table.h"
+#include "oracle/reference_runtime.h"
 #include "protocols/algorithm1_protocol.h"
 #include "protocols/algorithm2_protocol.h"
 #include "spanner/analysis.h"
@@ -41,32 +45,58 @@ sim::DelayModel delay_for(bool async) {
   return async ? sim::DelayModel::uniform(1, 5, 7) : sim::DelayModel::unit();
 }
 
-double run_once_ms(const graph::Graph& g, bool alg1, bool async,
-                   sim::QueuePolicy queue) {
-  const auto delays = delay_for(async);
-  const auto start = std::chrono::steady_clock::now();
-  // Raw entrypoints on purpose: this helper feeds the gated a5/flat_ms and
-  // a5/map_ms gauges, and the facade's list extraction would pollute the
-  // queue-policy timing.
-  if (alg1) {
-    benchmark::DoNotOptimize(
-        // wcds-lint: allow(facade-only)
-        protocols::run_algorithm1(g, delays, nullptr, queue));
-  } else {
-    benchmark::DoNotOptimize(
-        // wcds-lint: allow(facade-only)
-        protocols::run_algorithm2(g, delays, nullptr, queue));
-  }
-  const auto stop = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(stop - start).count();
+sim::Runtime::NodeFactory factory_for(bool alg1) {
+  return [alg1](NodeId) -> std::unique_ptr<sim::ProtocolNode> {
+    if (alg1) return std::make_unique<protocols::Algorithm1Node>();
+    return std::make_unique<protocols::Algorithm2Node>();
+  };
 }
 
-double median_of_3_ms(const graph::Graph& g, bool alg1, bool async,
-                      sim::QueuePolicy queue) {
+struct TimedRun {
+  double ms = 0.0;
+  sim::RunStats stats;
+  std::vector<NodeId> dominators;
+};
+
+// Constructs `Sim` (sim::Runtime or sim::ReferenceRuntime) over the
+// protocol's nodes and runs it to quiescence; only the construction and the
+// run are timed.
+template <typename Sim>
+TimedRun run_once(const graph::Graph& g, bool alg1, bool async) {
+  const auto factory = factory_for(alg1);
+  TimedRun out;
+  const auto start = std::chrono::steady_clock::now();
+  Sim runtime(g, factory, delay_for(async));
+  out.stats = runtime.run();
+  const auto stop = std::chrono::steady_clock::now();
+  out.ms = std::chrono::duration<double, std::milli>(stop - start).count();
+  for (NodeId u = 0; u < g.node_count(); ++u) {
+    bool dominator = false;
+    if (alg1) {
+      dominator = static_cast<const protocols::Algorithm1Node&>(runtime.node(u))
+                      .is_dominator();
+    } else {
+      const auto& node =
+          static_cast<const protocols::Algorithm2Node&>(runtime.node(u));
+      dominator = node.is_mis_dominator() || node.is_additional_dominator();
+    }
+    if (dominator) out.dominators.push_back(u);
+  }
+  return out;
+}
+
+// The last run's outcome with the median wall time of 3.
+template <typename Sim>
+TimedRun median_of_3(const graph::Graph& g, bool alg1, bool async) {
   double t[3];
-  for (double& sample : t) sample = run_once_ms(g, alg1, async, queue);
+  TimedRun out;
+  for (double& sample : t) {
+    out = run_once<Sim>(g, alg1, async);
+    sample = out.ms;
+  }
   std::sort(t, t + 3);
-  return t[1];
+  out.ms = t[1];
+  return out;
 }
 
 void print_tables() {
@@ -80,7 +110,7 @@ void print_tables() {
                 "A5a: Runtime::run wall time, flat vs reference-map queue "
                 "(median of 3)");
   bench::Table table(
-      {"n", "alg", "delays", "map ms", "flat ms", "speedup"});
+      {"n", "alg", "delays", "map ms", "flat ms", "speedup", "identical"});
   struct TimedConfig {
     std::string name;
     double ms = 0.0;
@@ -90,20 +120,26 @@ void print_tables() {
     const auto& inst = instance_for(n);
     for (const bool alg1 : {true, false}) {
       for (const bool async : {false, true}) {
-        const double map_ms = median_of_3_ms(inst.g, alg1, async,
-                                             sim::QueuePolicy::kReferenceMap);
-        const double flat_ms =
-            median_of_3_ms(inst.g, alg1, async, sim::QueuePolicy::kFlat);
+        const TimedRun map =
+            median_of_3<sim::ReferenceRuntime>(inst.g, alg1, async);
+        const TimedRun flat = median_of_3<sim::Runtime>(inst.g, alg1, async);
+        const double map_ms = map.ms;
+        const double flat_ms = flat.ms;
+        // Quiescence is part of RunStats, so a budget trip fails it too.
+        const bool identical = flat.stats == map.stats &&
+                               flat.dominators == map.dominators;
         table.add_row({std::to_string(n), alg1 ? "alg1" : "alg2",
                        async ? "async U(1,5)" : "sync", bench::fmt(map_ms, 2),
                        bench::fmt(flat_ms, 2),
-                       bench::fmt(map_ms / flat_ms, 2) + "x"});
+                       bench::fmt(map_ms / flat_ms, 2) + "x",
+                       identical ? "yes" : "NO"});
         const std::string key = std::string(alg1 ? "alg1" : "alg2") +
                                 (async ? "_async_n" : "_sync_n") +
                                 std::to_string(n);
         gauges.push_back({"a5/map_ms/" + key, map_ms});
         gauges.push_back({"a5/flat_ms/" + key, flat_ms});
         gauges.push_back({"a5/speedup/" + key, map_ms / flat_ms});
+        gauges.push_back({"a5/identical/" + key, identical ? 1.0 : 0.0});
       }
     }
   }
@@ -150,8 +186,8 @@ void print_tables() {
                "pays a per-delivery\nallocation plus O(log q) pointer "
                "chasing; the calendar is O(1) amortized and\nthe heap works "
                "on a contiguous 24-byte-record array).  A5b speedup tracks\n"
-               "WCDS_THREADS on multi-core hosts and is ~1.0x single-core; "
-               "the 'identical'\ncolumn must read yes either way.\n";
+               "WCDS_THREADS on multi-core hosts and is ~1.0x single-core.  "
+               "Both 'identical'\ncolumns must read yes on any host.\n";
 
   obs::set_global_recorder(ambient);
   // With the recorder back in effect, fold the wall times into the metrics
@@ -165,37 +201,35 @@ void print_tables() {
 }
 
 void BM_RuntimeRun(benchmark::State& state, bool alg1, bool async,
-                   sim::QueuePolicy queue) {
+                   bool oracle) {
   const auto& inst = instance_for(static_cast<std::uint32_t>(state.range(0)));
-  const auto delays = delay_for(async);
   for (auto _ : state) {
-    if (alg1) {
+    if (oracle) {
       benchmark::DoNotOptimize(
-          protocols::run_algorithm1(inst.g, delays, nullptr, queue));
+          run_once<sim::ReferenceRuntime>(inst.g, alg1, async));
     } else {
-      benchmark::DoNotOptimize(
-          protocols::run_algorithm2(inst.g, delays, nullptr, queue));
+      benchmark::DoNotOptimize(run_once<sim::Runtime>(inst.g, alg1, async));
     }
   }
   state.SetComplexityN(state.range(0));
 }
 
-#define WCDS_BM_RUNTIME(name, alg1, async, queue)                       \
-  BENCHMARK_CAPTURE(BM_RuntimeRun, name, alg1, async, queue)            \
+#define WCDS_BM_RUNTIME(name, alg1, async, oracle)                      \
+  BENCHMARK_CAPTURE(BM_RuntimeRun, name, alg1, async, oracle)           \
       ->Arg(512)                                                        \
       ->Arg(2048)                                                       \
       ->Arg(8192)                                                       \
       ->Unit(benchmark::kMillisecond)                                   \
       ->Complexity()
 
-WCDS_BM_RUNTIME(alg1_sync_flat, true, false, sim::QueuePolicy::kFlat);
-WCDS_BM_RUNTIME(alg1_sync_map, true, false, sim::QueuePolicy::kReferenceMap);
-WCDS_BM_RUNTIME(alg1_async_flat, true, true, sim::QueuePolicy::kFlat);
-WCDS_BM_RUNTIME(alg1_async_map, true, true, sim::QueuePolicy::kReferenceMap);
-WCDS_BM_RUNTIME(alg2_sync_flat, false, false, sim::QueuePolicy::kFlat);
-WCDS_BM_RUNTIME(alg2_sync_map, false, false, sim::QueuePolicy::kReferenceMap);
-WCDS_BM_RUNTIME(alg2_async_flat, false, true, sim::QueuePolicy::kFlat);
-WCDS_BM_RUNTIME(alg2_async_map, false, true, sim::QueuePolicy::kReferenceMap);
+WCDS_BM_RUNTIME(alg1_sync_flat, true, false, false);
+WCDS_BM_RUNTIME(alg1_sync_map, true, false, true);
+WCDS_BM_RUNTIME(alg1_async_flat, true, true, false);
+WCDS_BM_RUNTIME(alg1_async_map, true, true, true);
+WCDS_BM_RUNTIME(alg2_sync_flat, false, false, false);
+WCDS_BM_RUNTIME(alg2_sync_map, false, false, true);
+WCDS_BM_RUNTIME(alg2_async_flat, false, true, false);
+WCDS_BM_RUNTIME(alg2_async_map, false, true, true);
 
 #undef WCDS_BM_RUNTIME
 

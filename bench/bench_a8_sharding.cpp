@@ -6,9 +6,9 @@
 // and merges them deterministically, so the only thing allowed to change
 // versus the serial composition is wall time.  A8 times both distributed
 // algorithms over a 16-component deployment at n >= 10^4: the serial
-// kGlobal baseline against kComponentSharded at 1/2/4/8 threads, median of
-// 3.  The `identical` column cross-checks the merged RunStats and the
-// constructed WCDS against the serial run — it must read yes at every
+// threads = 1 baseline (reported as a8/global_ms/*) against 2/4/8 threads,
+// median of 3.  The `identical` column cross-checks the merged RunStats and
+// the constructed WCDS against the serial run — it must read yes at every
 // thread count (tests/sharding_test.cpp proves the stronger byte-level
 // claim trace-by-trace).
 //
@@ -69,8 +69,7 @@ struct RunOutcome {
   double ms = 0.0;
 };
 
-RunOutcome run_once(const graph::Graph& g, bool alg1,
-                    sim::ExecutionPolicy execution, std::size_t threads) {
+RunOutcome run_once(const graph::Graph& g, bool alg1, std::size_t threads) {
   RunOutcome out;
   const auto start = std::chrono::steady_clock::now();
   // Raw entrypoints on purpose: these feed the gated a8/* timing gauges and
@@ -78,15 +77,13 @@ RunOutcome run_once(const graph::Graph& g, bool alg1,
   if (alg1) {
     // wcds-lint: allow(facade-only)
     auto run = protocols::run_algorithm1(g, sim::DelayModel::unit(), nullptr,
-                                         sim::QueuePolicy::kFlat, nullptr,
-                                         execution, threads);
+                                         nullptr, threads);
     out.stats = std::move(run.stats);
     out.dominators = std::move(run.wcds.dominators);
   } else {
     // wcds-lint: allow(facade-only)
     auto run = protocols::run_algorithm2(g, sim::DelayModel::unit(), nullptr,
-                                         sim::QueuePolicy::kFlat, nullptr,
-                                         execution, threads);
+                                         nullptr, threads);
     out.stats = std::move(run.stats);
     out.dominators = std::move(run.wcds.dominators);
   }
@@ -95,12 +92,11 @@ RunOutcome run_once(const graph::Graph& g, bool alg1,
   return out;
 }
 
-RunOutcome median_of_3(const graph::Graph& g, bool alg1,
-                       sim::ExecutionPolicy execution, std::size_t threads) {
+RunOutcome median_of_3(const graph::Graph& g, bool alg1, std::size_t threads) {
   RunOutcome best;
   double samples[3];
   for (double& sample : samples) {
-    RunOutcome out = run_once(g, alg1, execution, threads);
+    RunOutcome out = run_once(g, alg1, threads);
     sample = out.ms;
     best = std::move(out);
   }
@@ -121,7 +117,7 @@ void print_tables() {
                 "thread pool (median of 3)");
   std::cout << "n = " << inst.g.node_count() << ", components = " << components
             << "\n\n";
-  bench::Table table({"alg", "global ms", "t1 ms", "t2 ms", "t4 ms", "t8 ms",
+  bench::Table table({"alg", "t1 ms", "t2 ms", "t4 ms", "t8 ms",
                       "speedup(t8)", "identical"});
   struct Gauge {
     std::string name;
@@ -130,25 +126,23 @@ void print_tables() {
   std::vector<Gauge> gauges;
   for (const bool alg1 : {true, false}) {
     const std::string key = alg1 ? "alg1" : "alg2";
-    const RunOutcome global =
-        median_of_3(inst.g, alg1, sim::ExecutionPolicy::kGlobal, 1);
+    // The serial composition: shards in index order on the caller.
+    const RunOutcome serial = median_of_3(inst.g, alg1, 1);
     bool identical = true;
     std::vector<double> sharded_ms;
-    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-      const RunOutcome sharded = median_of_3(
-          inst.g, alg1, sim::ExecutionPolicy::kComponentSharded, threads);
-      identical = identical && sharded.stats == global.stats &&
-                  sharded.dominators == global.dominators;
+    for (const std::size_t threads : {2u, 4u, 8u}) {
+      const RunOutcome sharded = median_of_3(inst.g, alg1, threads);
+      identical = identical && sharded.stats == serial.stats &&
+                  sharded.dominators == serial.dominators;
       sharded_ms.push_back(sharded.ms);
       gauges.push_back({"a8/sharded_ms/t" + std::to_string(threads) + "/" + key,
                         sharded.ms});
     }
-    const double speedup = global.ms / sharded_ms.back();
-    table.add_row({key, bench::fmt(global.ms, 2), bench::fmt(sharded_ms[0], 2),
+    const double speedup = serial.ms / sharded_ms.back();
+    table.add_row({key, bench::fmt(serial.ms, 2), bench::fmt(sharded_ms[0], 2),
                    bench::fmt(sharded_ms[1], 2), bench::fmt(sharded_ms[2], 2),
-                   bench::fmt(sharded_ms[3], 2), bench::fmt(speedup, 2) + "x",
-                   identical ? "yes" : "NO"});
-    gauges.push_back({"a8/global_ms/" + key, global.ms});
+                   bench::fmt(speedup, 2) + "x", identical ? "yes" : "NO"});
+    gauges.push_back({"a8/global_ms/" + key, serial.ms});
     gauges.push_back({"a8/speedup/t8/" + key, speedup});
     gauges.push_back({"a8/identical/" + key, identical ? 1.0 : 0.0});
   }
@@ -166,32 +160,21 @@ void print_tables() {
   }
 }
 
-void BM_ShardedRun(benchmark::State& state, bool alg1,
-                   sim::ExecutionPolicy execution) {
+void BM_ShardedRun(benchmark::State& state, bool alg1) {
   const auto& inst = fleet_instance();
   const auto threads = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_once(inst.g, alg1, execution, threads));
+    benchmark::DoNotOptimize(run_once(inst.g, alg1, threads));
   }
 }
 
-BENCHMARK_CAPTURE(BM_ShardedRun, alg1_global, true,
-                  sim::ExecutionPolicy::kGlobal)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ShardedRun, alg1_sharded, true,
-                  sim::ExecutionPolicy::kComponentSharded)
+BENCHMARK_CAPTURE(BM_ShardedRun, alg1_sharded, true)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ShardedRun, alg2_global, false,
-                  sim::ExecutionPolicy::kGlobal)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ShardedRun, alg2_sharded, false,
-                  sim::ExecutionPolicy::kComponentSharded)
+BENCHMARK_CAPTURE(BM_ShardedRun, alg2_sharded, false)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)

@@ -56,30 +56,20 @@ struct BuildOptions {
   // Protocol modes only: the sim's message-delay regime.
   sim::DelayModel delays = sim::DelayModel::unit();
 
-  // Protocol modes only: the sim's event-queue implementation.  The default
-  // flat queue is the production path; the reference map reproduces the
-  // original allocating queue for differential tests and benchmarks.
-  sim::QueuePolicy queue_policy = sim::QueuePolicy::kFlat;
-
   // Protocol modes only: deterministic fault injection (message loss,
   // duplication, delay jitter, node crash windows — src/fault/plan.h).
   // Null keeps the perfect radio at zero overhead; non-null runs the
-  // protocol under the fault::HardenedNode reliable transport and requires
-  // the flat queue policy.  Centralized modes ignore it (no radio).
+  // protocol under the fault::HardenedNode reliable transport.  Centralized
+  // modes ignore it (no radio).
   const fault::Plan* faults = nullptr;
 
-  // Protocol modes only: execution policy for multi-component deployments.
-  // Components never exchange messages, so each runs as an independent
-  // sub-run; kComponentSharded executes the sub-runs on the thread pool,
-  // kGlobal serially — outputs are byte-identical either way
-  // (sim/sharded.h).  Connected graphs take the single-runtime fast path
-  // regardless.  Centralized modes ignore it (and still require a
-  // connected graph).
-  sim::ExecutionPolicy execution = sim::ExecutionPolicy::kComponentSharded;
-
-  // Protocol modes only: thread count for the sharded runner and for
-  // kAlgorithm2Protocol's dominator-list pass (0 = the WCDS_THREADS env /
-  // hardware default, 1 = inline serial).
+  // Protocol modes only: thread count (0 = the WCDS_THREADS env / hardware
+  // default, 1 = serially on the caller) for kAlgorithm2Protocol's
+  // dominator-list pass and for multi-component deployments.  Components
+  // never exchange messages, so each runs as an independent sub-run on the
+  // pool, and outputs are byte-identical at any count (sim/sharded.h).
+  // Connected graphs take the single-runtime path regardless; centralized
+  // modes ignore it (and still require a connected graph).
   std::size_t threads = 0;
 
   // Fault-tolerance target (wcds/resilient.h).  The default {1, 1} is the

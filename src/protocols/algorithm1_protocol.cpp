@@ -206,9 +206,7 @@ void Algorithm1Node::on_receive(sim::Context& ctx, const sim::Message& msg) {
 DistributedAlgorithm1Run run_algorithm1(const graph::Graph& g,
                                         const sim::DelayModel& delays,
                                         obs::Recorder* recorder,
-                                        sim::QueuePolicy queue,
                                         const fault::Plan* faults,
-                                        sim::ExecutionPolicy execution,
                                         std::size_t threads) {
   WCDS_REQUIRE(g.node_count() > 0, "run_algorithm1: empty graph");
   obs::Recorder* rec = obs::recorder_or_global(recorder);
@@ -240,7 +238,7 @@ DistributedAlgorithm1Run run_algorithm1(const graph::Graph& g,
     if (hardened) {
       injector = std::make_unique<fault::Injector>(*faults, n);
     }
-    sim::Runtime runtime(g, factory, delays, rec, queue, injector.get());
+    sim::Runtime runtime(g, factory, delays, rec, injector.get());
     {
       obs::PhaseTimer run_timer(rec, "alg1/protocol_run");
       run.stats = runtime.run();
@@ -269,8 +267,8 @@ DistributedAlgorithm1Run run_algorithm1(const graph::Graph& g,
     r.mis_dominators = r.dominators;
     extract_timer.stop();
   } else {
-    // Disconnected deployment: one independent sub-run per component, under
-    // `execution` (sim/sharded.h).  Extraction happens inside each shard —
+    // Disconnected deployment: one independent sub-run per component, on
+    // `threads` (sim/sharded.h).  Extraction happens inside each shard —
     // every write lands in that shard's own slots — and the ordered merge
     // plus the ascending dominator-list rebuild below are serial.  Dominator
     // flags go through a byte array, not r.mask: vector<bool> packs bits
@@ -282,7 +280,7 @@ DistributedAlgorithm1Run run_algorithm1(const graph::Graph& g,
     std::vector<fault::TransportStats> transports(hardened ? shard_count : 0);
     {
       obs::PhaseTimer run_timer(rec, "alg1/protocol_run");
-      sim::for_each_shard(execution, shard_count, threads, [&](std::size_t c) {
+      sim::for_each_shard(shard_count, threads, [&](std::size_t c) {
         const std::span<const NodeId> members = plan.shard(c);
         std::unique_ptr<fault::Injector> injector;
         if (hardened) {
@@ -293,7 +291,7 @@ DistributedAlgorithm1Run run_algorithm1(const graph::Graph& g,
         shard_delays.seed =
             sim::shard_stream_seed(delays.seed, static_cast<std::uint32_t>(c));
         outcomes[c] = sim::run_shard(
-            g, members, factory, shard_delays, queue, injector.get(),
+            g, members, factory, shard_delays, injector.get(),
             /*record=*/rec != nullptr,
             /*capture_trace=*/rec != nullptr && rec->trace_sink() != nullptr,
             sim::kDefaultMaxEvents, [&](sim::Runtime& runtime) {

@@ -219,9 +219,7 @@ void Algorithm2Node::on_receive(sim::Context& ctx, const sim::Message& msg) {
 DistributedWcdsRun run_algorithm2(const graph::Graph& g,
                                   const sim::DelayModel& delays,
                                   obs::Recorder* recorder,
-                                  sim::QueuePolicy queue,
                                   const fault::Plan* faults,
-                                  sim::ExecutionPolicy execution,
                                   std::size_t threads) {
   WCDS_REQUIRE(g.node_count() > 0, "run_algorithm2: empty graph");
   obs::Recorder* rec = obs::recorder_or_global(recorder);
@@ -251,7 +249,7 @@ DistributedWcdsRun run_algorithm2(const graph::Graph& g,
     if (hardened) {
       injector = std::make_unique<fault::Injector>(*faults, n);
     }
-    sim::Runtime runtime(g, factory, delays, rec, queue, injector.get());
+    sim::Runtime runtime(g, factory, delays, rec, injector.get());
     {
       obs::PhaseTimer run_timer(rec, "alg2/protocol_run");
       run.stats = runtime.run();
@@ -280,8 +278,8 @@ DistributedWcdsRun run_algorithm2(const graph::Graph& g,
     }
     extract_timer.stop();
   } else {
-    // Disconnected deployment: one independent sub-run per component, under
-    // `execution` (sim/sharded.h).  Shards record each node's final role in
+    // Disconnected deployment: one independent sub-run per component, on
+    // `threads` (sim/sharded.h).  Shards record each node's final role in
     // disjoint slots; the ascending rebuild below restores the sorted
     // dominator lists the single-runtime scan would have produced.
     enum : std::uint8_t { kRoleNone = 0, kRoleMis = 1, kRoleAdditional = 2 };
@@ -292,7 +290,7 @@ DistributedWcdsRun run_algorithm2(const graph::Graph& g,
     std::vector<fault::TransportStats> transports(hardened ? shard_count : 0);
     {
       obs::PhaseTimer run_timer(rec, "alg2/protocol_run");
-      sim::for_each_shard(execution, shard_count, threads, [&](std::size_t c) {
+      sim::for_each_shard(shard_count, threads, [&](std::size_t c) {
         const std::span<const NodeId> members = plan.shard(c);
         std::unique_ptr<fault::Injector> injector;
         if (hardened) {
@@ -303,7 +301,7 @@ DistributedWcdsRun run_algorithm2(const graph::Graph& g,
         shard_delays.seed =
             sim::shard_stream_seed(delays.seed, static_cast<std::uint32_t>(c));
         outcomes[c] = sim::run_shard(
-            g, members, factory, shard_delays, queue, injector.get(),
+            g, members, factory, shard_delays, injector.get(),
             /*record=*/rec != nullptr,
             /*capture_trace=*/rec != nullptr && rec->trace_sink() != nullptr,
             sim::kDefaultMaxEvents, [&](sim::Runtime& runtime) {

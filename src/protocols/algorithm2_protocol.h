@@ -124,33 +124,24 @@ struct DistributedWcdsRun {
 //
 // g need not be connected: the protocol is fully localized, so a run over a
 // disconnected deployment is the composition of independent per-component
-// runs.  `execution` picks how those component sub-runs execute (serially,
-// or sharded onto the thread pool; results are byte-identical — see
-// sim/sharded.h); `threads` sizes the pool under kComponentSharded (0 =
-// WCDS_THREADS env / hardware default, 1 = inline serial).  A connected
-// graph always takes the historical single-runtime path, whatever the
-// policy.
+// runs.  The component sub-runs execute on a pool of `threads` (0 =
+// WCDS_THREADS env / hardware default, 1 = serially on the caller); results
+// are byte-identical at any count (sim/sharded.h).  A connected graph always
+// takes the historical single-runtime path.
 //
 // `recorder` (explicit, else the ambient obs::global_recorder(), else none)
 // receives wall-clock phase timings, the sim's message metrics and the
 // resulting |WCDS|.  Application code should prefer the wcds::core::build()
 // facade (src/facade/build.h); calling this directly is deprecated outside
 // the protocol layer itself.
-// `queue` selects the sim's event-queue implementation; the default flat
-// queue is the production path, the reference map exists for differential
-// tests and benchmarks (both deliver in identical (time, seq) order).
 // `faults` (null = the perfect radio, zero overhead) injects the plan's
 // deterministic losses/duplicates/jitter/crashes; the protocol then runs
 // wrapped in the fault::HardenedNode reliable transport and must still
 // converge to an audited WCDS — and, because the MIS rule's fixpoint is
-// timing-independent, to the exact MIS of the fault-free run.  Requires the
-// flat queue.
+// timing-independent, to the exact MIS of the fault-free run.
 [[nodiscard]] DistributedWcdsRun run_algorithm2(
     const graph::Graph& g, const sim::DelayModel& delays = sim::DelayModel::unit(),
-    obs::Recorder* recorder = nullptr,
-    sim::QueuePolicy queue = sim::QueuePolicy::kFlat,
-    const fault::Plan* faults = nullptr,
-    sim::ExecutionPolicy execution = sim::ExecutionPolicy::kComponentSharded,
+    obs::Recorder* recorder = nullptr, const fault::Plan* faults = nullptr,
     std::size_t threads = 0);
 
 }  // namespace wcds::protocols

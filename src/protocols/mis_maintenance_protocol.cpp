@@ -134,7 +134,7 @@ MisMaintenanceSession::MisMaintenanceSession(graph::Graph initial,
       runtime_(
           *graph_,
           [](NodeId) { return std::make_unique<MisMaintenanceNode>(); },
-          delays, nullptr, sim::QueuePolicy::kFlat, injector_.get()) {}
+          delays, nullptr, injector_.get()) {}
 
 bool MisMaintenanceSession::stabilize(std::uint64_t max_events) {
   return runtime_.run(max_events).quiescent;

@@ -53,42 +53,41 @@ T pop_min(std::vector<T>& heap) {
 
 }  // namespace
 
+Context::Context(Runtime& runtime, NodeId self, SimTime now)
+    : runtime_(&runtime), graph_(runtime.graph_), self_(self), now_(now) {}
+
 std::span<const NodeId> Context::neighbors() const {
-  return runtime_.graph_->neighbors(self_);
+  return graph_->neighbors(self_);
 }
 
-std::size_t Context::node_count() const {
-  return runtime_.graph_->node_count();
-}
+std::size_t Context::node_count() const { return graph_->node_count(); }
 
 void Context::broadcast(MessageType type, std::vector<std::uint32_t> payload) {
-  runtime_.send(self_, now_, kBroadcastDst, type, std::move(payload));
+  runtime_->send(self_, now_, kBroadcastDst, type, std::move(payload));
 }
 
 void Context::unicast(NodeId dst, MessageType type,
                       std::vector<std::uint32_t> payload) {
-  runtime_.send(self_, now_, dst, type, std::move(payload));
+  runtime_->send(self_, now_, dst, type, std::move(payload));
 }
 
 void Context::set_timer(SimTime delay, std::uint64_t token) {
-  runtime_.schedule_timer(self_, now_ + delay, token);
+  WCDS_CHECK(runtime_ != nullptr,
+             "Context::set_timer: node " << self_ << " armed a timer under a "
+                                         << "simulator without timers");
+  runtime_->schedule_timer(self_, now_ + delay, token);
 }
 
 Runtime::Runtime(const graph::Graph& g, const NodeFactory& factory,
                  const DelayModel& delays, obs::Recorder* recorder,
-                 QueuePolicy policy, FaultHook* faults,
-                 std::span<const NodeId> active)
-    : graph_(&g), active_(active.begin(), active.end()), policy_(policy),
-      delays_(delays), delay_rng_(delays.seed + 1), recorder_(recorder),
-      fault_(faults) {
+                 FaultHook* faults, std::span<const NodeId> active)
+    : graph_(&g), active_(active.begin(), active.end()), delays_(delays),
+      delay_rng_(delays.seed + 1), recorder_(recorder), fault_(faults) {
   WCDS_REQUIRE(delays_.min_delay >= 1 && delays_.max_delay >= delays_.min_delay,
                "Runtime: invalid delay model");
-  WCDS_REQUIRE(fault_ == nullptr || policy_ == QueuePolicy::kFlat,
-               "Runtime: fault injection requires the flat queue policy "
-               "(the reference map exists only as a fault-free oracle)");
   // Unit delays without jitter put every delivery exactly one step out —
   // all the two-bucket calendar needs, whatever else the hook does.
-  calendar_ = policy_ == QueuePolicy::kFlat && delays_.is_unit() &&
+  calendar_ = delays_.is_unit() &&
               (fault_ == nullptr || fault_->max_extra_delay() == 0);
   if (!delays_.is_unit()) {
     // Zero-initialized clocks need no first-send branch: every real delivery
@@ -210,9 +209,6 @@ void Runtime::timer_push(const TimerEvent& event) {
 Runtime::TimerEvent Runtime::timer_pop() { return pop_min(timer_heap_); }
 
 void Runtime::schedule_timer(NodeId node, SimTime at, std::uint64_t token) {
-  WCDS_REQUIRE_STATE(policy_ == QueuePolicy::kFlat,
-                     "Runtime: timers require the flat queue policy (the "
-                     "reference map exists only as a timer-free oracle)");
   timer_push({at, send_seq_, token, node});
   ++send_seq_;
 }
@@ -220,7 +216,6 @@ void Runtime::schedule_timer(NodeId node, SimTime at, std::uint64_t token) {
 std::size_t Runtime::queue_size() const {
   // Pending local timers are node-internal clocks, not queued deliveries,
   // so they do not count toward the depth.
-  if (policy_ == QueuePolicy::kReferenceMap) return ref_queue_.size();
   if (calendar_) {
     return (bucket_now_.size() - bucket_pos_) + bucket_next_.size();
   }
@@ -240,10 +235,31 @@ void Runtime::send(NodeId src, SimTime now, NodeId dst, MessageType type,
   }
   ++stats_.transmissions;
   count_type(type);
-  if (policy_ == QueuePolicy::kReferenceMap) {
-    send_reference(src, now, dst, type, std::move(payload));
+  if (dst == kBroadcastDst) {
+    const auto neighbors = graph_->neighbors(src);
+    if (!neighbors.empty()) {
+      // One interned payload, d POD queue records.
+      const std::uint32_t slot =
+          acquire_slot(src, dst, type, std::move(payload),
+                       static_cast<std::uint32_t>(neighbors.size()));
+      const std::size_t base = graph_->row_begin(src);
+      for (std::size_t i = 0; i < neighbors.size(); ++i) {
+        const SimTime at = delivery_time(base + i, now);
+        enqueue_flat({at, send_seq_, slot, neighbors[i]});
+        ++send_seq_;
+      }
+    }
+    if (recorder_ != nullptr) [[unlikely]] record_send(src, dst, type, now);
   } else {
-    send_flat(src, now, dst, type, std::move(payload));
+    const std::size_t link_slot = graph_->edge_slot(src, dst);
+    WCDS_REQUIRE_STATE(link_slot != graph::Graph::kNoSlot,
+                       "Runtime: unicast " << src << " -> " << dst
+                                           << " to a non-neighbor");
+    const std::uint32_t slot = acquire_slot(src, dst, type, std::move(payload), 1);
+    const SimTime at = delivery_time(link_slot, now);
+    if (recorder_ != nullptr) [[unlikely]] record_send(src, dst, type, now);
+    enqueue_flat({at, send_seq_, slot, dst});
+    ++send_seq_;
   }
 }
 
@@ -295,63 +311,6 @@ void Runtime::send_faulty(NodeId src, SimTime now, NodeId dst,
     if (recorder_ != nullptr) [[unlikely]] record_send(src, dst, type, now);
     enqueue_faulty_copy(slot, dst, link_slot, now);
     release_ref(slot);
-  }
-}
-
-void Runtime::send_flat(NodeId src, SimTime now, NodeId dst, MessageType type,
-                        std::vector<std::uint32_t>&& payload) {
-  if (dst == kBroadcastDst) {
-    const auto neighbors = graph_->neighbors(src);
-    if (!neighbors.empty()) {
-      // One interned payload, d POD queue records.
-      const std::uint32_t slot =
-          acquire_slot(src, dst, type, std::move(payload),
-                       static_cast<std::uint32_t>(neighbors.size()));
-      const std::size_t base = graph_->row_begin(src);
-      for (std::size_t i = 0; i < neighbors.size(); ++i) {
-        const SimTime at = delivery_time(base + i, now);
-        enqueue_flat({at, send_seq_, slot, neighbors[i]});
-        ++send_seq_;
-      }
-    }
-    if (recorder_ != nullptr) [[unlikely]] record_send(src, dst, type, now);
-  } else {
-    const std::size_t link_slot = graph_->edge_slot(src, dst);
-    WCDS_REQUIRE_STATE(link_slot != graph::Graph::kNoSlot,
-                       "Runtime: unicast " << src << " -> " << dst
-                                           << " to a non-neighbor");
-    const std::uint32_t slot = acquire_slot(src, dst, type, std::move(payload), 1);
-    const SimTime at = delivery_time(link_slot, now);
-    if (recorder_ != nullptr) [[unlikely]] record_send(src, dst, type, now);
-    enqueue_flat({at, send_seq_, slot, dst});
-    ++send_seq_;
-  }
-}
-
-void Runtime::send_reference(NodeId src, SimTime now, NodeId dst,
-                             MessageType type,
-                             std::vector<std::uint32_t>&& payload) {
-  Message msg{src, dst, type, std::move(payload)};
-  if (dst == kBroadcastDst) {
-    const auto neighbors = graph_->neighbors(src);
-    const std::size_t base = graph_->row_begin(src);
-    for (std::size_t i = 0; i < neighbors.size(); ++i) {
-      const SimTime at = delivery_time(base + i, now);
-      ref_queue_.emplace(std::pair{at, send_seq_},
-                         RefPendingDelivery{at, send_seq_, msg, neighbors[i]});
-      ++send_seq_;
-    }
-    if (recorder_ != nullptr) [[unlikely]] record_send(src, dst, type, now);
-  } else {
-    const std::size_t link_slot = graph_->edge_slot(src, dst);
-    WCDS_REQUIRE_STATE(link_slot != graph::Graph::kNoSlot,
-                       "Runtime: unicast " << src << " -> " << dst
-                                           << " to a non-neighbor");
-    const SimTime at = delivery_time(link_slot, now);
-    if (recorder_ != nullptr) [[unlikely]] record_send(src, dst, type, now);
-    ref_queue_.emplace(std::pair{at, send_seq_},
-                       RefPendingDelivery{at, send_seq_, std::move(msg), dst});
-    ++send_seq_;
   }
 }
 
@@ -521,62 +480,42 @@ RunStats Runtime::run(std::uint64_t max_events) {
     }
   }
   std::uint64_t events = 0;
-  if (policy_ == QueuePolicy::kReferenceMap) {
-    while (!ref_queue_.empty()) {
-      if (++events > max_events) {
-        finalize_stats(false);
-        return stats_;
+  while (true) {
+    // The earliest in-flight delivery, or null when none is.  The calendar
+    // steps to its next bucket only once no timer is due before it, so a
+    // timer's sends always land one step after the current one.
+    const PendingDelivery* head = nullptr;
+    if (calendar_) {
+      if (bucket_pos_ == bucket_now_.size() && !bucket_next_.empty() &&
+          (timer_heap_.empty() ||
+           timer_heap_.front().time >= bucket_next_.front().time)) {
+        // swap + clear keeps both capacities, so steady state allocates
+        // nothing.
+        bucket_now_.clear();
+        bucket_pos_ = 0;
+        std::swap(bucket_now_, bucket_next_);
+        bucket_time_ = bucket_now_.front().time;
       }
-      auto first = ref_queue_.begin();
-      RefPendingDelivery delivery = std::move(first->second);
-      ref_queue_.erase(first);
-      ++stats_.deliveries;
-      stats_.completion_time = delivery.time;
-      if (recorder_ != nullptr) [[unlikely]] {
-        record_deliver(delivery.time, delivery.message.src, delivery.recipient,
-                       delivery.message.type);
-      }
-      Context ctx(*this, delivery.recipient, delivery.time);
-      nodes_[delivery.recipient]->on_receive(ctx, delivery.message);
+      if (bucket_pos_ < bucket_now_.size()) head = &bucket_now_[bucket_pos_];
+    } else if (!heap_.empty()) {
+      head = &heap_.front();
     }
-  } else {
-    while (true) {
-      // The earliest in-flight delivery, or null when none is.  The calendar
-      // steps to its next bucket only once no timer is due before it, so a
-      // timer's sends always land one step after the current one.
-      const PendingDelivery* head = nullptr;
-      if (calendar_) {
-        if (bucket_pos_ == bucket_now_.size() && !bucket_next_.empty() &&
-            (timer_heap_.empty() ||
-             timer_heap_.front().time >= bucket_next_.front().time)) {
-          // swap + clear keeps both capacities, so steady state allocates
-          // nothing.
-          bucket_now_.clear();
-          bucket_pos_ = 0;
-          std::swap(bucket_now_, bucket_next_);
-          bucket_time_ = bucket_now_.front().time;
-        }
-        if (bucket_pos_ < bucket_now_.size()) head = &bucket_now_[bucket_pos_];
-      } else if (!heap_.empty()) {
-        head = &heap_.front();
-      }
-      // Deliveries and timers share the (time, seq) key; seq is globally
-      // unique, so the pick is deterministic.
-      const bool timer_next =
-          !timer_heap_.empty() &&
-          (head == nullptr || earlier(timer_heap_.front(), *head));
-      if (head == nullptr && !timer_next) break;
-      if (++events > max_events) {
-        finalize_stats(false);
-        return stats_;
-      }
-      if (timer_next) {
-        fire_next_timer();
-      } else if (calendar_) {
-        deliver(bucket_now_[bucket_pos_++]);
-      } else {
-        deliver(heap_pop());
-      }
+    // Deliveries and timers share the (time, seq) key; seq is globally
+    // unique, so the pick is deterministic.
+    const bool timer_next =
+        !timer_heap_.empty() &&
+        (head == nullptr || earlier(timer_heap_.front(), *head));
+    if (head == nullptr && !timer_next) break;
+    if (++events > max_events) {
+      finalize_stats(false);
+      return stats_;
+    }
+    if (timer_next) {
+      fire_next_timer();
+    } else if (calendar_) {
+      deliver(bucket_now_[bucket_pos_++]);
+    } else {
+      deliver(heap_pop());
     }
   }
   finalize_stats(true);

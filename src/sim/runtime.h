@@ -29,9 +29,8 @@
 // random delays or jitter a flat binary min-heap over a contiguous vector
 // keyed by (time, seq) is used.  Local timers live in their own (time, seq)
 // heap that the drain loop merges with either queue.  The original
-// std::map-based queue survives behind QueuePolicy::kReferenceMap purely as
-// a differential-test and benchmark baseline, mirroring
-// udg::build_udg_reference.
+// std::map-based queue survives outside the library, as the test-only
+// sim::ReferenceRuntime (tests/oracle/), mirroring udg::build_udg_reference.
 #pragma once
 
 #include <cstdint>
@@ -72,25 +71,6 @@ struct DelayModel {
   }
 };
 
-// Event-queue implementation selector.  kFlat is the production path; the
-// reference map reproduces the original per-delivery-allocating queue so
-// differential tests can prove both deliver in the same (time, seq) order
-// with identical RunStats, and benchmarks can quantify the gap.
-enum class QueuePolicy : std::uint8_t {
-  kFlat,          // pooled payloads + calendar/heap (default)
-  kReferenceMap,  // std::map of per-delivery Message copies (testing only)
-};
-
-// Execution policy for runs over multi-component topologies (sim/sharded.h).
-// Components never exchange messages, so a run over a disconnected graph is
-// DEFINED as the composition of independent per-component sub-runs folded in
-// component-index order (graph::connected_components labels components by
-// smallest member).  kGlobal executes the sub-runs serially on the caller;
-// kComponentSharded executes the same sub-runs on the parallel::ThreadPool.
-// Both policies share one code path per component, so traces, RunStats,
-// metrics and constructed outputs are byte-identical at any thread count.
-enum class ExecutionPolicy : std::uint8_t { kGlobal, kComponentSharded };
-
 // Default event budget of Runtime::run (runaway-protocol guard).  Applies
 // per component sub-run under sharded execution: shards cannot share a
 // remaining-budget counter without reintroducing cross-shard coupling.
@@ -101,11 +81,11 @@ class Runtime;
 // Per-delivery view handed to protocol handlers; the only way a node may act
 // on the network.  The send methods are virtual so a transport shim (the
 // fault layer's FrameContext) can interpose on a wrapped node's sends while
-// inheriting the read-only accessors.
+// inheriting the read-only accessors, and so another simulator (the
+// test-only ReferenceRuntime) can route them to its own queue.
 class Context {
  public:
-  Context(Runtime& runtime, NodeId self, SimTime now)
-      : runtime_(runtime), self_(self), now_(now) {}
+  Context(Runtime& runtime, NodeId self, SimTime now);
   virtual ~Context() = default;
   Context(const Context&) = default;
   Context& operator=(const Context&) = delete;
@@ -127,11 +107,19 @@ class Context {
   // after `delay` time units.  Timers are node-internal clocks — they do
   // not touch the radio, are never faulted (a crashed node's CPU keeps
   // ticking; only its radio is off), and count neither as transmissions nor
-  // deliveries.  Requires the flat queue policy (either delay regime).
+  // deliveries.  Only Runtime keeps timers: under another simulator this
+  // fails with a check::CheckError.
   void set_timer(SimTime delay, std::uint64_t token);
 
+ protected:
+  // For a simulator other than Runtime: reads come from `g`, and the
+  // subclass must override broadcast and unicast.
+  Context(const graph::Graph& g, NodeId self, SimTime now)
+      : runtime_(nullptr), graph_(&g), self_(self), now_(now) {}
+
  private:
-  Runtime& runtime_;
+  Runtime* runtime_;  // null under another simulator
+  const graph::Graph* graph_;
   NodeId self_;
   SimTime now_;
 };
@@ -179,13 +167,13 @@ class Runtime {
 
   // `faults` (null by default) injects deterministic message loss,
   // duplication, delay noise and node crashes into the delivery path; see
-  // sim/fault_hook.h for the contract.  A hook requires the flat queue
-  // policy.  The queue is picked here, once: unit delays plus a hook whose
-  // max_extra_delay() is 0 keep the two-bucket calendar (every copy still
-  // lands one step out); jitter or an async delay model select the
-  // (time, seq) min-heap.  Both pop in (time, seq) order, so the choice
-  // never changes a trace.  The null-hook path is byte-identical to a
-  // runtime built without the parameter (guarded by tests/fault_test.cpp).
+  // sim/fault_hook.h for the contract.  The queue is picked here, once:
+  // unit delays plus a hook whose max_extra_delay() is 0 keep the two-bucket
+  // calendar (every copy still lands one step out); jitter or an async delay
+  // model select the (time, seq) min-heap.  Both pop in (time, seq) order,
+  // so the choice never changes a trace.  The null-hook path is
+  // byte-identical to a runtime built without the parameter (guarded by
+  // tests/fault_test.cpp).
   //
   // `active` (empty by default = every node) restricts the runtime to a
   // subset of the graph's nodes: only active nodes get a ProtocolNode and an
@@ -194,9 +182,7 @@ class Runtime {
   // messages to nodes outside it would reach a null state machine.
   Runtime(const graph::Graph& g, const NodeFactory& factory,
           const DelayModel& delays = DelayModel::unit(),
-          obs::Recorder* recorder = nullptr,
-          QueuePolicy policy = QueuePolicy::kFlat,
-          FaultHook* faults = nullptr,
+          obs::Recorder* recorder = nullptr, FaultHook* faults = nullptr,
           std::span<const NodeId> active = {});
 
   // Observability hook.  Null (the default) records nothing and keeps the
@@ -244,7 +230,6 @@ class Runtime {
     return nodes_[u].get();
   }
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
-  [[nodiscard]] QueuePolicy queue_policy() const noexcept { return policy_; }
   [[nodiscard]] FaultHook* fault_hook() const noexcept { return fault_; }
   // True when deliveries run on the two-bucket unit-delay calendar rather
   // than the (time, seq) heap; fixed at construction.
@@ -274,21 +259,8 @@ class Runtime {
     std::uint32_t refs = 0;
   };
 
-  // Reference-policy event record: the original design, one full Message
-  // copy per recipient in a red-black-tree node.
-  struct RefPendingDelivery {
-    SimTime time;
-    std::uint64_t seq;
-    Message message;
-    NodeId recipient;
-  };
-
   void send(NodeId src, SimTime now, NodeId dst, MessageType type,
             std::vector<std::uint32_t> payload);
-  void send_flat(NodeId src, SimTime now, NodeId dst, MessageType type,
-                 std::vector<std::uint32_t>&& payload);
-  void send_reference(NodeId src, SimTime now, NodeId dst, MessageType type,
-                      std::vector<std::uint32_t>&& payload);
   // Fault-plan slow path: per-copy drop/duplicate/jitter decisions.
   void send_faulty(NodeId src, SimTime now, NodeId dst, MessageType type,
                    std::vector<std::uint32_t>&& payload);
@@ -297,7 +269,7 @@ class Runtime {
   std::uint32_t enqueue_faulty_copy(std::uint32_t slot, NodeId recipient,
                                     std::size_t link_slot, SimTime now);
 
-  // Pool bookkeeping (flat policy only).
+  // Pool bookkeeping.
   [[nodiscard]] std::uint32_t acquire_slot(NodeId src, NodeId dst,
                                            MessageType type,
                                            std::vector<std::uint32_t>&& payload,
@@ -332,7 +304,7 @@ class Runtime {
 
   void count_type(MessageType type);
 
-  // Outstanding deliveries across whichever queue the policy selected.
+  // Outstanding deliveries on the calendar or the heap.
   [[nodiscard]] std::size_t queue_size() const;
 
   // Recording slow paths, only reached with a non-null recorder.
@@ -354,9 +326,8 @@ class Runtime {
   std::vector<std::unique_ptr<ProtocolNode>> nodes_;
   // on_start order; empty means all nodes in ascending id order.
   std::vector<NodeId> active_;
-  QueuePolicy policy_;
 
-  // Flat queue, unit-delay calendar: every in-flight delivery is due either
+  // Unit-delay calendar: every in-flight delivery is due either
   // at the time step being drained (bucket_now_[bucket_pos_..], due at
   // bucket_time_) or one step later (bucket_next_, appended in send order ==
   // seq order).  swap() + clear() per step keeps the capacity, so steady
@@ -366,7 +337,7 @@ class Runtime {
   std::size_t bucket_pos_ = 0;
   SimTime bucket_time_ = 0;
 
-  // Flat queue, async or jitter: binary min-heap over a contiguous vector,
+  // Async or jitter: binary min-heap over a contiguous vector,
   // keyed by (time, seq).  seq is unique, so the order is total and
   // deterministic.
   std::vector<PendingDelivery> heap_;
@@ -381,11 +352,6 @@ class Runtime {
   // handed.
   std::deque<PoolSlot> pool_;
   std::vector<std::uint32_t> free_slots_;
-
-  // Reference policy: the original map keyed by (time, seq).  Kept as the
-  // differential-testing oracle for the flat heap; only QueuePolicy::
-  // kReferenceMap runs touch it.  wcds-lint: allow(hot-path-alloc)
-  std::map<std::pair<SimTime, std::uint64_t>, RefPendingDelivery> ref_queue_;
 
   std::uint64_t send_seq_ = 0;
   RunStats stats_;

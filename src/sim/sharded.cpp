@@ -9,8 +9,8 @@ namespace wcds::sim {
 
 ShardOutcome run_shard(const graph::Graph& g, std::span<const NodeId> members,
                        const Runtime::NodeFactory& factory,
-                       const DelayModel& delays, QueuePolicy queue,
-                       FaultHook* faults, bool record, bool capture_trace,
+                       const DelayModel& delays, FaultHook* faults,
+                       bool record, bool capture_trace,
                        std::uint64_t max_events,
                        const std::function<void(Runtime&)>& inspect) {
   ShardOutcome out;
@@ -20,7 +20,7 @@ ShardOutcome run_shard(const graph::Graph& g, std::span<const NodeId> members,
   obs::Recorder local;
   obs::MemoryTraceSink sink;
   if (record && capture_trace) local.set_trace_sink(&sink);
-  Runtime runtime(g, factory, delays, record ? &local : nullptr, queue, faults,
+  Runtime runtime(g, factory, delays, record ? &local : nullptr, faults,
                   members);
   {
     obs::PhaseTimer timer(record ? &local : nullptr, "sim/shard_run");
@@ -71,13 +71,8 @@ RunStats merge_shards(std::span<const ShardOutcome> outcomes,
   return merged;
 }
 
-void for_each_shard(ExecutionPolicy policy, std::size_t shard_count,
-                    std::size_t threads,
+void for_each_shard(std::size_t shard_count, std::size_t threads,
                     const std::function<void(std::size_t)>& task) {
-  if (policy == ExecutionPolicy::kGlobal || shard_count <= 1) {
-    for (std::size_t c = 0; c < shard_count; ++c) task(c);
-    return;
-  }
   parallel::pool_for(threads).parallel_for(0, shard_count, 1, task);
 }
 

@@ -3,8 +3,8 @@
 //
 // Contract (the whole point): for a fixed topology, seed and fault plan, the
 // merged traces, RunStats, metrics and every protocol-visible node state are
-// byte-identical whether the shards execute serially (ExecutionPolicy::
-// kGlobal) or on the thread pool (kComponentSharded), at any thread count.
+// byte-identical at any thread count, threads = 1 (the shards run serially,
+// in index order, on the caller) included.
 // Three ingredients make this structural rather than hoped-for:
 //  - shards are whole connected components (ShardPlan), so no message ever
 //    crosses a shard boundary;
@@ -49,8 +49,8 @@ struct ShardOutcome {
 // the quiesced Runtime before it is torn down — the extraction hook.
 ShardOutcome run_shard(const graph::Graph& g, std::span<const NodeId> members,
                        const Runtime::NodeFactory& factory,
-                       const DelayModel& delays, QueuePolicy queue,
-                       FaultHook* faults, bool record, bool capture_trace,
+                       const DelayModel& delays, FaultHook* faults,
+                       bool record, bool capture_trace,
                        std::uint64_t max_events = kDefaultMaxEvents,
                        const std::function<void(Runtime&)>& inspect = {});
 
@@ -62,13 +62,11 @@ ShardOutcome run_shard(const graph::Graph& g, std::span<const NodeId> members,
 RunStats merge_shards(std::span<const ShardOutcome> outcomes,
                       obs::Recorder* recorder);
 
-// Execute `task(c)` for c in [0, shard_count) under the given policy:
-// kGlobal runs the shards serially in index order on the calling thread;
-// kComponentSharded dispatches them to parallel::pool_for(threads)
-// (threads: 0 = WCDS_THREADS env / hardware default, 1 = inline serial).
-// Tasks must write only shard-local state (their ShardOutcome slot).
-void for_each_shard(ExecutionPolicy policy, std::size_t shard_count,
-                    std::size_t threads,
+// Execute `task(c)` for c in [0, shard_count) on parallel::pool_for(threads)
+// (0 = WCDS_THREADS env / hardware default).  A one-thread pool runs the
+// shards serially, in index order, on the calling thread.  Tasks must write
+// only shard-local state (their ShardOutcome slot).
+void for_each_shard(std::size_t shard_count, std::size_t threads,
                     const std::function<void(std::size_t)>& task);
 
 }  // namespace wcds::sim

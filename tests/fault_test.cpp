@@ -85,8 +85,7 @@ TracedRun traced_raw_run(const graph::Graph& g, bool alg1,
   obs::Recorder recorder;
   obs::MemoryTraceSink sink;
   recorder.set_trace_sink(&sink);
-  sim::Runtime rt(g, raw_factory(alg1), delays, &recorder,
-                  sim::QueuePolicy::kFlat, hook);
+  sim::Runtime rt(g, raw_factory(alg1), delays, &recorder, hook);
   TracedRun out;
   out.stats = rt.run();
   out.events = sink.events();
@@ -222,7 +221,7 @@ TEST(FaultTransparency, NullHookPathAddsNoAllocations) {
 
   sim::Runtime rt(
       g, [](NodeId) { return std::make_unique<OneShotNode>(); },
-      sim::DelayModel::unit(), nullptr, sim::QueuePolicy::kFlat, nullptr);
+      sim::DelayModel::unit(), nullptr, nullptr);
   g_alloc_count.store(0, std::memory_order_relaxed);
   g_count_allocs.store(true, std::memory_order_relaxed);
   const auto stats = rt.run();
@@ -248,7 +247,7 @@ TEST(FaultIdempotence, RawAlgorithm2SurvivesDuplication) {
   plan.seed = 13;
   fault::Injector injector(plan, inst.g.node_count());
   sim::Runtime rt(inst.g, raw_factory(/*alg1=*/false), sim::DelayModel::unit(),
-                  nullptr, sim::QueuePolicy::kFlat, &injector);
+                  nullptr, &injector);
   const auto stats = rt.run();
   EXPECT_TRUE(stats.quiescent);
   EXPECT_GT(injector.counters().duplicated, 0u);
@@ -271,14 +270,12 @@ TEST(FaultConvergence, LossyRunsConvergeAcrossSeeds) {
     SCOPED_TRACE(::testing::Message() << "seed=" << seed);
 
     const auto run1 = protocols::run_algorithm1(
-        inst.g, sim::DelayModel::unit(), nullptr, sim::QueuePolicy::kFlat,
-        &plan);
+        inst.g, sim::DelayModel::unit(), nullptr, &plan);
     EXPECT_TRUE(run1.stats.quiescent);
     expect_audit_clean(inst.g, run1.wcds);
 
     const auto run2 = protocols::run_algorithm2(
-        inst.g, sim::DelayModel::unit(), nullptr, sim::QueuePolicy::kFlat,
-        &plan);
+        inst.g, sim::DelayModel::unit(), nullptr, &plan);
     EXPECT_TRUE(run2.stats.quiescent);
     expect_audit_clean(inst.g, run2.wcds);
   }
@@ -298,15 +295,13 @@ TEST(FaultConvergence, ChaosWithCrashRecoverAcrossSeeds) {
     SCOPED_TRACE(::testing::Message() << "seed=" << seed);
 
     const auto run1 = protocols::run_algorithm1(
-        inst.g, sim::DelayModel::unit(), nullptr, sim::QueuePolicy::kFlat,
-        &plan);
+        inst.g, sim::DelayModel::unit(), nullptr, &plan);
     EXPECT_TRUE(run1.stats.quiescent);
     expect_audit_clean(inst.g, run1.wcds);
 
     const auto clean = protocols::run_algorithm2(inst.g);
     const auto run2 = protocols::run_algorithm2(
-        inst.g, sim::DelayModel::unit(), nullptr, sim::QueuePolicy::kFlat,
-        &plan);
+        inst.g, sim::DelayModel::unit(), nullptr, &plan);
     EXPECT_TRUE(run2.stats.quiescent);
     expect_audit_clean(inst.g, run2.wcds);
     EXPECT_EQ(run2.wcds.mis_dominators, clean.wcds.mis_dominators);
@@ -320,8 +315,7 @@ TEST(FaultConvergence, RegionBlackoutConverges) {
       inst.points, inst.points[inst.g.node_count() / 2], 1.0, 10, 60);
   ASSERT_GE(covered, 1u);
   const auto run = protocols::run_algorithm2(
-      inst.g, sim::DelayModel::unit(), nullptr, sim::QueuePolicy::kFlat,
-      &plan);
+      inst.g, sim::DelayModel::unit(), nullptr, &plan);
   EXPECT_TRUE(run.stats.quiescent);
   expect_audit_clean(inst.g, run.wcds);
 }
@@ -348,8 +342,7 @@ TEST(FaultMetrics, InjectorAndTransportCountersReachTheRecorder) {
   const fault::Plan plan = fault::Plan::chaos(0.2, 0.05, 2, 9);
   obs::Recorder recorder;
   const auto run = protocols::run_algorithm2(
-      inst.g, sim::DelayModel::unit(), &recorder, sim::QueuePolicy::kFlat,
-      &plan);
+      inst.g, sim::DelayModel::unit(), &recorder, &plan);
   EXPECT_TRUE(run.stats.quiescent);
   const auto snapshot = recorder.snapshot();
   ASSERT_TRUE(snapshot.counters.contains("fault/dropped"));
@@ -413,12 +406,10 @@ TEST(FaultSoak, SeedSweep) {
         try {
           const auto stats =
               alg1 ? protocols::run_algorithm1(inst.g, sim::DelayModel::unit(),
-                                               nullptr,
-                                               sim::QueuePolicy::kFlat, &plan)
+                                               nullptr, &plan)
                          .stats
                    : protocols::run_algorithm2(inst.g, sim::DelayModel::unit(),
-                                               nullptr,
-                                               sim::QueuePolicy::kFlat, &plan)
+                                               nullptr, &plan)
                          .stats;
           if (!stats.quiescent) failures.push_back(tag + " (not quiescent)");
         } catch (const std::exception& e) {
@@ -515,15 +506,11 @@ TEST(ScaledSoak, FleetMatrix) {
         const auto arm = std::string("alg") + (alg1 ? "1" : "2") + " " + tag;
         try {
           const auto stats =
-              alg1 ? protocols::run_algorithm1(
-                         g, sim::DelayModel::unit(), nullptr,
-                         sim::QueuePolicy::kFlat, &plan,
-                         sim::ExecutionPolicy::kComponentSharded)
+              alg1 ? protocols::run_algorithm1(g, sim::DelayModel::unit(),
+                                               nullptr, &plan)
                          .stats
-                   : protocols::run_algorithm2(
-                         g, sim::DelayModel::unit(), nullptr,
-                         sim::QueuePolicy::kFlat, &plan,
-                         sim::ExecutionPolicy::kComponentSharded)
+                   : protocols::run_algorithm2(g, sim::DelayModel::unit(),
+                                               nullptr, &plan)
                          .stats;
           if (!stats.quiescent) failures.push_back(arm + " (not quiescent)");
         } catch (const std::exception& e) {

@@ -119,22 +119,18 @@ Pin pin_of(const Run& run, const obs::Recorder& recorder,
 }
 
 Pin hardened_pin(bool algorithm1, const graph::Graph& g,
-                 const fault::Plan& plan,
-                 sim::ExecutionPolicy execution = sim::ExecutionPolicy::kGlobal,
-                 std::size_t threads = 1) {
+                 const fault::Plan& plan, std::size_t threads = 1) {
   obs::Recorder recorder;
   obs::MemoryTraceSink sink;
   recorder.set_trace_sink(&sink);
   if (algorithm1) {
     const auto run = protocols::run_algorithm1(
-        g, sim::DelayModel::unit(), &recorder, sim::QueuePolicy::kFlat, &plan,
-        execution, threads);
+        g, sim::DelayModel::unit(), &recorder, &plan, threads);
     EXPECT_TRUE(run.stats.quiescent);
     return pin_of(run, recorder, sink);
   }
   const auto run = protocols::run_algorithm2(
-      g, sim::DelayModel::unit(), &recorder, sim::QueuePolicy::kFlat, &plan,
-      execution, threads);
+      g, sim::DelayModel::unit(), &recorder, &plan, threads);
   EXPECT_TRUE(run.stats.quiescent);
   return pin_of(run, recorder, sink);
 }
@@ -225,9 +221,7 @@ TEST(HardenedGolden, ShardedFleetIsPinnedAtAnyThreadCount) {
   const auto fleet = testing::multi_component_udg(4, 60, 8.0, 5);
   const fault::Plan plan = fault::Plan::lossy(0.1, 23);
   for (const std::size_t threads : {1U, 2U, 8U}) {
-    EXPECT_EQ(hardened_pin(false, fleet.g, plan,
-                           sim::ExecutionPolicy::kComponentSharded, threads),
-              kPin)
+    EXPECT_EQ(hardened_pin(false, fleet.g, plan, threads), kPin)
         << "threads " << threads;
   }
 }

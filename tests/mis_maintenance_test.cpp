@@ -119,8 +119,7 @@ TEST(RuntimeTopology, FifoHoldsOnSurvivingLinkUnderAsync) {
   ASSERT_NE(before.edge_slot(2, 1), after.edge_slot(2, 1));
   DeafNodeOne hook;
   sim::Runtime rt(before, [](NodeId) { return std::make_unique<Sequencer>(); },
-                  sim::DelayModel::uniform(1, 25, 7), nullptr,
-                  sim::QueuePolicy::kFlat, &hook);
+                  sim::DelayModel::uniform(1, 25, 7), nullptr, &hook);
   ASSERT_TRUE(rt.run().quiescent);
   ASSERT_GT(hook.last_swallowed, 25u);
   hook.deaf = false;

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -38,6 +39,27 @@ TEST(ThreadPool, ExecutesEveryIndexExactlyOnce) {
                                      << " grain=" << grain << " i=" << i;
       }
     }
+  }
+}
+
+// The serial guarantee sim::for_each_shard relies on at threads = 1: a
+// one-thread pool runs every index on the calling thread, in ascending
+// order, whatever the grain.
+TEST(ThreadPool, OneThreadRunsInlineInAscendingOrder) {
+  parallel::ThreadPool pool(1);
+  ASSERT_EQ(pool.thread_count(), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const std::size_t grain : {1u, 3u, 64u}) {
+    std::vector<std::size_t> order;
+    bool on_caller = true;
+    pool.parallel_for(3, 40, grain, [&](std::size_t i) {
+      on_caller = on_caller && std::this_thread::get_id() == caller;
+      order.push_back(i);
+    });
+    std::vector<std::size_t> ascending;
+    for (std::size_t i = 3; i < 40; ++i) ascending.push_back(i);
+    EXPECT_TRUE(on_caller) << "grain=" << grain;
+    EXPECT_EQ(order, ascending) << "grain=" << grain;
   }
 }
 

@@ -1,16 +1,15 @@
-// Differential suite for the sim's event-queue implementations
-// (docs/PERFORMANCE.md).
+// Differential suite for the sim's event queues (docs/PERFORMANCE.md).
 //
-// The flat queue (pooled payloads + calendar/heap) must be observationally
-// identical to the reference std::map queue it replaced: the same delivery
-// sequence — every trace event's (kind, time, src, dst, type, queue depth) —
-// the same RunStats, and the same WCDS, across both algorithms, both delay
-// regimes and many seeds.  Within the flat queue, the unit-delay calendar
-// must match the (time, seq) heap under jitter-free fault plans and with
-// local timers merged in, including the timer edge cases of the merged
-// drain loop.  A counting-allocator test then pins down the point of the
-// exercise: the flat broadcast path performs no per-delivery heap
-// allocation.
+// sim::Runtime (pooled payloads + calendar/heap) must be observationally
+// identical to sim::ReferenceRuntime, the std::map queue it replaced, kept
+// as a test-only oracle (tests/oracle/): the same delivery sequence — every
+// trace event's (kind, time, src, dst, type, queue depth) — the same
+// RunStats, and the same WCDS, across both algorithms, both delay regimes
+// and many seeds.  Within Runtime, the unit-delay calendar must match the
+// (time, seq) heap under jitter-free fault plans and with local timers
+// merged in, including the timer edge cases of the merged drain loop.  A
+// counting-allocator test then pins down the point of the exercise: the
+// broadcast path performs no per-delivery heap allocation.
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -22,13 +21,14 @@
 
 #include <gtest/gtest.h>
 
-#include "facade/build.h"
+#include "check/check.h"
 #include "fault/hardened.h"
 #include "fault/injector.h"
 #include "fault/plan.h"
 #include "graph/graph.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
+#include "oracle/reference_runtime.h"
 #include "protocols/algorithm1_protocol.h"
 #include "protocols/algorithm2_protocol.h"
 #include "sim/runtime.h"
@@ -72,22 +72,53 @@ struct TracedRun {
   std::vector<NodeId> dominators;
 };
 
+// The production path: run_algorithm{1,2} over sim::Runtime.
 TracedRun traced_run(const graph::Graph& g, bool alg1,
-                     const sim::DelayModel& delays, sim::QueuePolicy queue) {
+                     const sim::DelayModel& delays) {
   obs::Recorder recorder;
   obs::MemoryTraceSink sink;
   recorder.set_trace_sink(&sink);
   TracedRun out;
   if (alg1) {
-    auto run = protocols::run_algorithm1(g, delays, &recorder, queue);
+    auto run = protocols::run_algorithm1(g, delays, &recorder);
     out.stats = run.stats;
     out.dominators = run.wcds.dominators;
   } else {
-    auto run = protocols::run_algorithm2(g, delays, &recorder, queue);
+    auto run = protocols::run_algorithm2(g, delays, &recorder);
     out.stats = run.stats;
     out.dominators = run.wcds.dominators;
   }
   out.events = sink.events();
+  return out;
+}
+
+// The oracle: the public protocol nodes replayed on the map queue, their
+// dominators read back in ascending id order as run_algorithm{1,2} do.
+TracedRun oracle_run(const graph::Graph& g, bool alg1,
+                     const sim::DelayModel& delays) {
+  obs::MemoryTraceSink sink;
+  sim::ReferenceRuntime oracle(
+      g,
+      [alg1](NodeId) -> std::unique_ptr<sim::ProtocolNode> {
+        if (alg1) return std::make_unique<protocols::Algorithm1Node>();
+        return std::make_unique<protocols::Algorithm2Node>();
+      },
+      delays, &sink);
+  TracedRun out;
+  out.stats = oracle.run();
+  out.events = sink.events();
+  for (NodeId u = 0; u < oracle.node_count(); ++u) {
+    bool dominator = false;
+    if (alg1) {
+      dominator = static_cast<const protocols::Algorithm1Node&>(oracle.node(u))
+                      .is_dominator();
+    } else {
+      const auto& node =
+          static_cast<const protocols::Algorithm2Node&>(oracle.node(u));
+      dominator = node.is_mis_dominator() || node.is_additional_dominator();
+    }
+    if (dominator) out.dominators.push_back(u);
+  }
   return out;
 }
 
@@ -117,37 +148,28 @@ TEST(RuntimeQueueDifferential, FlatMatchesReferenceMapAcrossSeeds) {
         SCOPED_TRACE(::testing::Message()
                      << "seed=" << seed << " alg1=" << alg1
                      << " async=" << async);
-        const auto flat =
-            traced_run(inst.g, alg1, delays, sim::QueuePolicy::kFlat);
-        const auto map =
-            traced_run(inst.g, alg1, delays, sim::QueuePolicy::kReferenceMap);
+        const auto flat = traced_run(inst.g, alg1, delays);
+        const auto map = oracle_run(inst.g, alg1, delays);
         expect_same_trace(flat, map);
         EXPECT_TRUE(flat.stats.quiescent);
+        EXPECT_FALSE(flat.dominators.empty());
       }
     }
   }
 }
 
-// All four facade build modes honor BuildOptions::queue_policy and yield the
-// same WCDS under either queue (central modes trivially — the sim never
-// runs; protocol modes are where the policies must agree).
-TEST(RuntimeQueueDifferential, FacadeModesAgreeAcrossQueuePolicies) {
-  const auto inst = wcds::testing::connected_udg(120, 8.0, 3);
-  for (const auto algorithm :
-       {core::BuildAlgorithm::kAlgorithm1Central,
-        core::BuildAlgorithm::kAlgorithm2Central,
-        core::BuildAlgorithm::kAlgorithm1Protocol,
-        core::BuildAlgorithm::kAlgorithm2Protocol}) {
-    SCOPED_TRACE(core::to_string(algorithm));
-    core::BuildOptions options;
-    options.algorithm = algorithm;
-    options.queue_policy = sim::QueuePolicy::kFlat;
-    const auto flat = core::build(inst.g, options);
-    options.queue_policy = sim::QueuePolicy::kReferenceMap;
-    const auto map = core::build(inst.g, options);
-    EXPECT_EQ(flat.result.dominators, map.result.dominators);
-    EXPECT_EQ(flat.stats, map.stats);
-  }
+// The oracle has no timers: a node that arms one is refused with a
+// check::CheckError, not a null dereference.
+TEST(RuntimeQueueDifferential, OracleRefusesTimersWithACheckError) {
+  class TimerNode final : public sim::ProtocolNode {
+   public:
+    void on_start(sim::Context& ctx) override { ctx.set_timer(1, 0); }
+    void on_receive(sim::Context&, const sim::Message&) override {}
+  };
+  const auto g = graph::from_edges(2, {{0, 1}});
+  sim::ReferenceRuntime oracle(
+      g, [](NodeId) { return std::make_unique<TimerNode>(); });
+  EXPECT_THROW(oracle.run(), check::CheckError);
 }
 
 // Forwards every decision to a fault::Injector but claims one tick of
@@ -202,7 +224,6 @@ HardenedRawRun hardened_raw_run(const graph::Graph& g, bool alg1,
         std::make_unique<protocols::Algorithm2Node>());
   };
   sim::Runtime rt(g, factory, sim::DelayModel::unit(), &recorder,
-                  sim::QueuePolicy::kFlat,
                   force_heap ? static_cast<sim::FaultHook*>(&forcing)
                              : &injector);
   HardenedRawRun out;
@@ -251,19 +272,16 @@ TEST(RuntimeQueueDifferential, QueueChoiceFollowsTheDelayBound) {
   fault::Injector lossy(fault::Plan::lossy(0.5, 1), 2);
   fault::Injector jitter(fault::Plan::chaos(0.0, 0.0, 2, 1), 2);
   const auto uses_calendar = [&](const sim::DelayModel& delays,
-                                 sim::QueuePolicy policy,
                                  sim::FaultHook* hook) {
-    return sim::Runtime(g, factory, delays, nullptr, policy, hook)
-        .uses_calendar();
+    return sim::Runtime(g, factory, delays, nullptr, hook).uses_calendar();
   };
   const auto unit = sim::DelayModel::unit();
   const auto async = sim::DelayModel::uniform(1, 3, 1);
-  EXPECT_TRUE(uses_calendar(unit, sim::QueuePolicy::kFlat, nullptr));
-  EXPECT_TRUE(uses_calendar(unit, sim::QueuePolicy::kFlat, &lossy));
-  EXPECT_FALSE(uses_calendar(unit, sim::QueuePolicy::kFlat, &jitter));
-  EXPECT_FALSE(uses_calendar(async, sim::QueuePolicy::kFlat, nullptr));
-  EXPECT_FALSE(uses_calendar(async, sim::QueuePolicy::kFlat, &lossy));
-  EXPECT_FALSE(uses_calendar(unit, sim::QueuePolicy::kReferenceMap, nullptr));
+  EXPECT_TRUE(uses_calendar(unit, nullptr));
+  EXPECT_TRUE(uses_calendar(unit, &lossy));
+  EXPECT_FALSE(uses_calendar(unit, &jitter));
+  EXPECT_FALSE(uses_calendar(async, nullptr));
+  EXPECT_FALSE(uses_calendar(async, &lossy));
 }
 
 // --- Timers on the calendar ------------------------------------------------
@@ -318,8 +336,7 @@ TracedRun gossip_run(const graph::Graph& g, bool force_heap, Drive&& drive) {
   recorder.set_trace_sink(&sink);
   sim::Runtime rt(
       g, [](NodeId u) { return std::make_unique<Node>(u); },
-      sim::DelayModel::unit(), &recorder, sim::QueuePolicy::kFlat,
-      force_heap ? &forcing : nullptr);
+      sim::DelayModel::unit(), &recorder, force_heap ? &forcing : nullptr);
   EXPECT_EQ(rt.uses_calendar(), !force_heap);
   drive(rt);
   TracedRun out;
@@ -506,25 +523,21 @@ class ChatterNode final : public sim::ProtocolNode {
 
 TEST(RuntimeQueue, BudgetTripStillFoldsStatsAndRecordsQuiescentGauge) {
   const graph::Graph g = graph::from_edges(3, {{0, 1}, {1, 2}, {0, 2}});
-  for (const auto policy :
-       {sim::QueuePolicy::kFlat, sim::QueuePolicy::kReferenceMap}) {
-    obs::Recorder recorder;
-    sim::Runtime rt(
-        g, [](NodeId) { return std::make_unique<ChatterNode>(); },
-        sim::DelayModel::unit(), &recorder, policy);
-    const auto stats = rt.run(/*max_events=*/100);
-    EXPECT_FALSE(stats.quiescent);
-    EXPECT_EQ(stats.deliveries, 100u);
-    // The budget-tripped run still folds the dense counters into per_type
-    // and the metrics into the recorder (the pre-fix code skipped both).
-    ASSERT_TRUE(stats.per_type.contains(1));
-    EXPECT_GT(stats.per_type.at(1), 0u);
-    const auto snapshot = recorder.snapshot();
-    ASSERT_TRUE(snapshot.gauges.contains("sim/quiescent"));
-    EXPECT_EQ(snapshot.gauges.at("sim/quiescent"), 0.0);
-    EXPECT_EQ(snapshot.counters.at("sim/transmissions"),
-              stats.transmissions);
-  }
+  obs::Recorder recorder;
+  sim::Runtime rt(
+      g, [](NodeId) { return std::make_unique<ChatterNode>(); },
+      sim::DelayModel::unit(), &recorder);
+  const auto stats = rt.run(/*max_events=*/100);
+  EXPECT_FALSE(stats.quiescent);
+  EXPECT_EQ(stats.deliveries, 100u);
+  // The budget-tripped run still folds the dense counters into per_type
+  // and the metrics into the recorder (the pre-fix code skipped both).
+  ASSERT_TRUE(stats.per_type.contains(1));
+  EXPECT_GT(stats.per_type.at(1), 0u);
+  const auto snapshot = recorder.snapshot();
+  ASSERT_TRUE(snapshot.gauges.contains("sim/quiescent"));
+  EXPECT_EQ(snapshot.gauges.at("sim/quiescent"), 0.0);
+  EXPECT_EQ(snapshot.counters.at("sim/transmissions"), stats.transmissions);
 }
 
 TEST(RuntimeQueue, QuiescentRunRecordsGaugeOne) {
@@ -538,10 +551,10 @@ TEST(RuntimeQueue, QuiescentRunRecordsGaugeOne) {
   EXPECT_EQ(snapshot.gauges.at("sim/quiescent"), 1.0);
 }
 
-// The point of the pooled flat queue: a degree-d broadcast enqueues d POD
-// records sharing one interned payload, so a full run performs only the
-// amortized container growth — far fewer allocations than deliveries.  The
-// reference map allocates at least one tree node per delivery.
+// The point of the pooled queue: a degree-d broadcast enqueues d POD records
+// sharing one interned payload, so a full run performs only the amortized
+// container growth — far fewer allocations than deliveries.  The reference
+// map allocates at least one tree node per delivery.
 TEST(RuntimeQueue, BroadcastPathAllocationCount) {
   // Star K_{1,512}: the hub's single broadcast fans out to 512 recipients.
   constexpr std::uint32_t kLeaves = 512;
@@ -558,10 +571,8 @@ TEST(RuntimeQueue, BroadcastPathAllocationCount) {
     void on_receive(sim::Context&, const sim::Message&) override {}
   };
 
-  auto count_allocs = [&](sim::QueuePolicy policy) {
-    sim::Runtime rt(
-        g, [](NodeId) { return std::make_unique<OneShotNode>(); },
-        sim::DelayModel::unit(), nullptr, policy);
+  const auto factory = [](NodeId) { return std::make_unique<OneShotNode>(); };
+  auto count_allocs = [&](auto& rt) {
     g_alloc_count.store(0, std::memory_order_relaxed);
     g_count_allocs.store(true, std::memory_order_relaxed);
     const auto stats = rt.run();
@@ -570,9 +581,10 @@ TEST(RuntimeQueue, BroadcastPathAllocationCount) {
     return g_alloc_count.load(std::memory_order_relaxed);
   };
 
-  const std::uint64_t flat_allocs = count_allocs(sim::QueuePolicy::kFlat);
-  const std::uint64_t map_allocs =
-      count_allocs(sim::QueuePolicy::kReferenceMap);
+  sim::Runtime flat(g, factory);
+  sim::ReferenceRuntime map(g, factory);
+  const std::uint64_t flat_allocs = count_allocs(flat);
+  const std::uint64_t map_allocs = count_allocs(map);
   // Flat: pool-deque blocks, calendar-bucket doublings, the per-type vector —
   // all amortized, orders of magnitude below the 1024 deliveries.
   EXPECT_LT(flat_allocs, 100u);

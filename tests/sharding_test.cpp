@@ -1,5 +1,6 @@
 // Component-sharded execution (sim/sharded.h): the sharded runner must be
-// byte-identical to the serial composition at any thread count — traces,
+// byte-identical to the serial composition (threads = 1) at any thread
+// count — traces,
 // RunStats, metrics and every protocol output — across both algorithms,
 // both delay regimes, and fault plans.
 #include <gtest/gtest.h>
@@ -70,21 +71,16 @@ struct Capture {
 template <typename Run>
 std::pair<Run, Capture> run_captured(
     bool algorithm1, const graph::Graph& g, const sim::DelayModel& delays,
-    const fault::Plan* faults, sim::ExecutionPolicy execution,
-    std::size_t threads) {
+    const fault::Plan* faults, std::size_t threads) {
   static_cast<void>(algorithm1);
   obs::Recorder recorder;
   obs::MemoryTraceSink sink;
   recorder.set_trace_sink(&sink);
   Run run;
   if constexpr (std::is_same_v<Run, protocols::DistributedAlgorithm1Run>) {
-    run = protocols::run_algorithm1(g, delays, &recorder,
-                                    sim::QueuePolicy::kFlat, faults,
-                                    execution, threads);
+    run = protocols::run_algorithm1(g, delays, &recorder, faults, threads);
   } else {
-    run = protocols::run_algorithm2(g, delays, &recorder,
-                                    sim::QueuePolicy::kFlat, faults,
-                                    execution, threads);
+    run = protocols::run_algorithm2(g, delays, &recorder, faults, threads);
   }
   return {std::move(run), Capture{sink.events(), recorder.snapshot()}};
 }
@@ -104,8 +100,8 @@ void expect_same_wcds(const Run& a, const Run& b) {
   }
 }
 
-// The tentpole differential: kComponentSharded at threads {1, 2, 8} must be
-// byte-identical to kGlobal across 2 algorithms x 2 delay regimes x
+// The tentpole differential: threads {1, 2, 8} must be byte-identical to a
+// separate serial (threads = 1) run across 2 algorithms x 2 delay regimes x
 // {perfect, faulty} radios x 8 seeds.
 template <typename Run>
 void differential_matrix() {
@@ -120,13 +116,12 @@ void differential_matrix() {
                                 : sim::DelayModel::unit();
         const fault::Plan plan = fault::Plan::chaos(0.1, 0.05, 3, seed + 101);
         const fault::Plan* faults = faulty ? &plan : nullptr;
-        const auto [base, base_cap] = run_captured<Run>(
-            true, inst.g, delays, faults, sim::ExecutionPolicy::kGlobal, 1);
+        const auto [base, base_cap] =
+            run_captured<Run>(true, inst.g, delays, faults, 1);
         for (const std::size_t threads : {1u, 2u, 8u}) {
           SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-          const auto [sharded, cap] = run_captured<Run>(
-              true, inst.g, delays, faults,
-              sim::ExecutionPolicy::kComponentSharded, threads);
+          const auto [sharded, cap] =
+              run_captured<Run>(true, inst.g, delays, faults, threads);
           expect_same_wcds(base, sharded);
           expect_same_trace(base_cap.trace, cap.trace);
           expect_same_metrics(base_cap.metrics, cap.metrics);
@@ -144,18 +139,16 @@ TEST(Sharding, Algorithm2ShardedMatchesGlobal) {
   differential_matrix<protocols::DistributedWcdsRun>();
 }
 
-// A connected graph is one shard: both policies take the historical
+// A connected graph is one shard: every thread count takes the historical
 // single-runtime fast path and must agree byte-for-byte, with the shard
 // gauge pinned at 1 (zero sharding overhead in the degenerate case).
 TEST(Sharding, SingleGiantComponentDegenerates) {
   const auto inst = testing::connected_udg(200, 8.0, 3);
   const auto [base, base_cap] =
       run_captured<protocols::DistributedWcdsRun>(
-          false, inst.g, sim::DelayModel::unit(), nullptr,
-          sim::ExecutionPolicy::kGlobal, 1);
+          false, inst.g, sim::DelayModel::unit(), nullptr, 1);
   const auto [sharded, cap] = run_captured<protocols::DistributedWcdsRun>(
-      false, inst.g, sim::DelayModel::unit(), nullptr,
-      sim::ExecutionPolicy::kComponentSharded, 4);
+      false, inst.g, sim::DelayModel::unit(), nullptr, 4);
   expect_same_wcds(base, sharded);
   expect_same_trace(base_cap.trace, cap.trace);
   expect_same_metrics(base_cap.metrics, cap.metrics);
@@ -189,11 +182,9 @@ TEST(Sharding, BlackoutSplittingComponentMidRun) {
   plan.crash(4, 2, 40);  // cut vertex of the even-id path
   const auto [base, base_cap] =
       run_captured<protocols::DistributedWcdsRun>(
-          false, g, sim::DelayModel::unit(), &plan,
-          sim::ExecutionPolicy::kGlobal, 1);
+          false, g, sim::DelayModel::unit(), &plan, 1);
   const auto [sharded, cap] = run_captured<protocols::DistributedWcdsRun>(
-      false, g, sim::DelayModel::unit(), &plan,
-      sim::ExecutionPolicy::kComponentSharded, 2);
+      false, g, sim::DelayModel::unit(), &plan, 2);
   expect_same_wcds(base, sharded);
   expect_same_trace(base_cap.trace, cap.trace);
   expect_same_metrics(base_cap.metrics, cap.metrics);
@@ -236,8 +227,7 @@ TEST(Sharding, BudgetTripInOneShardFoldsIntoMerge) {
   std::vector<sim::ShardOutcome> outcomes(2);
   for (std::size_t c = 0; c < 2; ++c) {
     outcomes[c] = sim::run_shard(g, plan.shard(c), factory,
-                                 sim::DelayModel::unit(),
-                                 sim::QueuePolicy::kFlat, nullptr,
+                                 sim::DelayModel::unit(), nullptr,
                                  /*record=*/true, /*capture_trace=*/true,
                                  /*max_events=*/50);
   }
@@ -283,9 +273,8 @@ TEST(Sharding, MatchesInterleavedGlobalOracle) {
   for (std::size_t c = 0; c < plan.shard_count(); ++c) {
     SCOPED_TRACE(::testing::Message() << "component " << c);
     const auto outcome = sim::run_shard(
-        inst.g, plan.shard(c), factory, sim::DelayModel::unit(),
-        sim::QueuePolicy::kFlat, nullptr, /*record=*/true,
-        /*capture_trace=*/true);
+        inst.g, plan.shard(c), factory, sim::DelayModel::unit(), nullptr,
+        /*record=*/true, /*capture_trace=*/true);
     std::vector<obs::TraceEvent> restricted;
     for (const auto& e : sink.events()) {
       if (plan.labels()[e.src] == c) restricted.push_back(e);
