@@ -161,7 +161,6 @@ bool ServingEngine::transmit(NodeId from, NodeId to, geom::Xoshiro256ss& rng,
         // same hop draws identically on every attempt; skipping the draw on
         // loss-free links is deliberate — it keeps fault-free serving traces
         // byte-identical to the pre-fault-injection ones.
-        // wcds-lint: allow(rng-draw-discipline)
         if (p > 0.0 && rng.next_double() < p) ok = false;
       }
     }

@@ -249,7 +249,6 @@ void Runtime::send(NodeId src, SimTime now, NodeId dst, MessageType type,
         ++send_seq_;
       }
     }
-    if (recorder_ != nullptr) [[unlikely]] record_send(src, dst, type, now);
   } else {
     const std::size_t link_slot = graph_->edge_slot(src, dst);
     WCDS_REQUIRE_STATE(link_slot != graph::Graph::kNoSlot,
@@ -257,10 +256,10 @@ void Runtime::send(NodeId src, SimTime now, NodeId dst, MessageType type,
                                            << " to a non-neighbor");
     const std::uint32_t slot = acquire_slot(src, dst, type, std::move(payload), 1);
     const SimTime at = delivery_time(link_slot, now);
-    if (recorder_ != nullptr) [[unlikely]] record_send(src, dst, type, now);
     enqueue_flat({at, send_seq_, slot, dst});
     ++send_seq_;
   }
+  if (recorder_ != nullptr) [[unlikely]] record_send(src, dst, type, now);
 }
 
 std::uint32_t Runtime::enqueue_faulty_copy(std::uint32_t slot,
@@ -300,7 +299,6 @@ void Runtime::send_faulty(NodeId src, SimTime now, NodeId dst,
       }
       release_ref(slot);
     }
-    if (recorder_ != nullptr) [[unlikely]] record_send(src, dst, type, now);
   } else {
     const std::size_t link_slot = graph_->edge_slot(src, dst);
     WCDS_REQUIRE_STATE(link_slot != graph::Graph::kNoSlot,
@@ -308,10 +306,10 @@ void Runtime::send_faulty(NodeId src, SimTime now, NodeId dst,
                                            << " to a non-neighbor");
     const std::uint32_t slot =
         acquire_slot(src, dst, type, std::move(payload), 1);
-    if (recorder_ != nullptr) [[unlikely]] record_send(src, dst, type, now);
     enqueue_faulty_copy(slot, dst, link_slot, now);
     release_ref(slot);
   }
+  if (recorder_ != nullptr) [[unlikely]] record_send(src, dst, type, now);
 }
 
 void Runtime::record_send(NodeId src, NodeId dst, MessageType type,

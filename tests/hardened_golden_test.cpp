@@ -150,9 +150,9 @@ constexpr std::uint64_t kSeeds[] = {1, 2, 3};
 // two-bucket calendar.
 TEST(HardenedGolden, Algorithm1LossyIsPinned) {
   constexpr Pin kPins[] = {
-      {18297, 30078, 492, 174, 0xf5cc86c93193ce04},
-      {19163, 31510, 550, 169, 0xe34ca507ff662526},
-      {21202, 35400, 555, 316, 0xb8940b3125d0bbc2},
+      {18297, 30078, 492, 174, 0x3cdcf5095f39b0ea},
+      {19163, 31510, 550, 169, 0xa8b0eaa817a3ad1e},
+      {21202, 35400, 555, 316, 0xfae8de57f29bb123},
   };
   for (std::size_t i = 0; i < std::size(kSeeds); ++i) {
     const auto inst = testing::connected_udg(70, 8.0, kSeeds[i]);
@@ -164,9 +164,9 @@ TEST(HardenedGolden, Algorithm1LossyIsPinned) {
 
 TEST(HardenedGolden, Algorithm2LossyIsPinned) {
   constexpr Pin kPins[] = {
-      {3430, 5640, 268, 152, 0x736ab2b0af205063},
-      {3400, 5611, 244, 123, 0x454593f43d3a186c},
-      {4152, 6962, 235, 123, 0x9569265506afbcce},
+      {3430, 5640, 268, 152, 0xfe823070c2c76de6},
+      {3400, 5611, 244, 123, 0x222a202ef5dd2dbc},
+      {4152, 6962, 235, 123, 0xc1867c0ec6e9eb16},
   };
   for (std::size_t i = 0; i < std::size(kSeeds); ++i) {
     const auto inst = testing::connected_udg(70, 8.0, kSeeds[i]);
@@ -178,12 +178,12 @@ TEST(HardenedGolden, Algorithm2LossyIsPinned) {
 
 TEST(HardenedGolden, LossWithCrashWindowsIsPinned) {
   constexpr Pin kPins[][2] = {
-      {{19190, 31472, 522, 233, 0x8edcffd7c70a64a2},
-       {3704, 6088, 287, 196, 0x50a9404a8cd47d7f}},
-      {{21276, 34981, 593, 273, 0x2d628aba63404df9},
-       {3568, 5880, 271, 187, 0x70c8fc004b0ac7a0}},
-      {{22395, 37205, 631, 323, 0x9b51ebfd9c654f42},
-       {4018, 6740, 292, 139, 0xdd1db830f22cdb8b}},
+      {{19190, 31472, 522, 233, 0xee44f43876206039},
+       {3704, 6088, 287, 196, 0xbe113a1bc28d73e9}},
+      {{21276, 34981, 593, 273, 0x1cb1a844ba0426b0},
+       {3568, 5880, 271, 187, 0xebf76e11c37069f4}},
+      {{22395, 37205, 631, 323, 0x7321daf46e2ae706},
+       {4018, 6740, 292, 139, 0x6daa8127cc529199}},
   };
   for (std::size_t i = 0; i < std::size(kSeeds); ++i) {
     const auto inst = testing::connected_udg(70, 8.0, kSeeds[i]);
@@ -198,12 +198,12 @@ TEST(HardenedGolden, LossWithCrashWindowsIsPinned) {
 // Jitter keeps these on the (time, seq) heap: the control group.
 TEST(HardenedGolden, ChaosWithJitterIsPinned) {
   constexpr Pin kPins[][2] = {
-      {{23460, 39797, 679, 362, 0x2c40c74785f1e894},
-       {3762, 6328, 267, 139, 0x2f6f0c9125c5ec9b}},
-      {{28186, 47668, 678, 342, 0xfd134b7c2125ab03},
-       {3835, 6558, 283, 129, 0x8ebd6d2a6cf39ad1}},
-      {{25302, 43301, 602, 333, 0x40e53b784c557e21},
-       {4259, 7351, 277, 161, 0x796fba6035cd5eaa}},
+      {{23460, 39797, 679, 362, 0x4ebdbfa7a7b6f92b},
+       {3762, 6328, 267, 139, 0x0a4efba48243921e}},
+      {{28186, 47668, 678, 342, 0x82c8385d5ce51fa5},
+       {3835, 6558, 283, 129, 0x3d2e4dd17f5c395f}},
+      {{25302, 43301, 602, 333, 0x0b432a21881ed95d},
+       {4259, 7351, 277, 161, 0x4a4e6a133b474887}},
   };
   for (std::size_t i = 0; i < std::size(kSeeds); ++i) {
     const auto inst = testing::connected_udg(70, 8.0, kSeeds[i]);
@@ -217,7 +217,7 @@ TEST(HardenedGolden, ChaosWithJitterIsPinned) {
 
 // A disconnected fleet, component-sharded: one pin at every thread count.
 TEST(HardenedGolden, ShardedFleetIsPinnedAtAnyThreadCount) {
-  constexpr Pin kPin = {11107, 18382, 857, 140, 0xab6b62b22915a3a9};
+  constexpr Pin kPin = {11107, 18382, 857, 140, 0x2b79733be1496e70};
   const auto fleet = testing::multi_component_udg(4, 60, 8.0, 5);
   const fault::Plan plan = fault::Plan::lossy(0.1, 23);
   for (const std::size_t threads : {1U, 2U, 8U}) {

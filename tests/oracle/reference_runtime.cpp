@@ -68,18 +68,14 @@ void ReferenceRuntime::send(NodeId src, SimTime now, NodeId dst,
     for (std::size_t i = 0; i < neighbors.size(); ++i) {
       enqueue(delivery_time(base + i, now), message, neighbors[i]);
     }
-    // Runtime traces a broadcast after queueing its copies...
-    record(obs::TraceEvent::Kind::kSend, now, src, dst, type);
   } else {
     const std::size_t link_slot = graph_.edge_slot(src, dst);
     WCDS_REQUIRE_STATE(link_slot != graph::Graph::kNoSlot,
                        "ReferenceRuntime: unicast " << src << " -> " << dst
                                                     << " to a non-neighbor");
-    const SimTime at = delivery_time(link_slot, now);
-    // ...and a unicast before queueing its one copy.
-    record(obs::TraceEvent::Kind::kSend, now, src, dst, type);
-    enqueue(at, message, dst);
+    enqueue(delivery_time(link_slot, now), message, dst);
   }
+  record(obs::TraceEvent::Kind::kSend, now, src, dst, type);
 }
 
 void ReferenceRuntime::record(obs::TraceEvent::Kind kind, SimTime time,

@@ -10,6 +10,7 @@
 // merged in, including the timer edge cases of the merged drain loop.  A
 // counting-allocator test then pins down the point of the exercise: the
 // broadcast path performs no per-delivery heap allocation.
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -455,7 +456,9 @@ TEST(CalendarTimers, BudgetTripMidBucketThenResume) {
 
 // The gossip run ends on the silent timer at 40, long after the last
 // delivery, so with_node sends at completion_time + 1 — a step behind the
-// timer that fired last.
+// timer that fired last.  Its first send is a unicast from the idle runtime,
+// traced after its copy is queued: queue_depth counts pending deliveries
+// after the event, on the plain and the fault-hook send paths alike.
 TEST(CalendarTimers, WithNodeAfterARunEndingInATimer) {
   const auto g = gossip_graph();
   const auto drive = [](sim::Runtime& rt) {
@@ -463,6 +466,7 @@ TEST(CalendarTimers, WithNodeAfterARunEndingInATimer) {
     EXPECT_TRUE(first.quiescent);
     EXPECT_LT(first.completion_time, 40u);
     rt.with_node(5, [](sim::Context& ctx, sim::ProtocolNode&) {
+      ctx.unicast(6, 1, {0});
       ctx.broadcast(1, {3});
     });
     const auto second = rt.run();
@@ -473,6 +477,14 @@ TEST(CalendarTimers, WithNodeAfterARunEndingInATimer) {
   const auto calendar = gossip_run(g, false, drive);
   const auto heap = gossip_run(g, true, drive);
   expect_same_trace(calendar, heap);
+  for (const TracedRun* run : {&calendar, &heap}) {
+    const auto unicast = std::find_if(
+        run->events.begin(), run->events.end(), [](const obs::TraceEvent& e) {
+          return e.kind == obs::TraceEvent::Kind::kSend && e.dst == 6;
+        });
+    ASSERT_NE(unicast, run->events.end());
+    EXPECT_EQ(unicast->queue_depth, 1u);
+  }
 }
 
 // A budget that trips where the calendar has just stepped: the next bucket

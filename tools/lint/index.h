@@ -13,41 +13,34 @@
 // Phase 2 (Linter::run) is then a pure function of SemanticIndex + Config:
 // it resolves includes against the scanned file set, walks the include
 // graph for the scope-aware rules (no-unordered-iteration, no-pointer-order,
-// layer-dag) and the cross-file registries, merges the stored local
+// layer-dag) and the cross-file registries, merges the file-local
 // diagnostics, and applies suppressions.
 //
-// Phase 3 (the control-flow rules) reads the per-function CFGs extracted by
-// tools/lint/cfg.h, which phase 1 stores alongside the declaration tables so
-// cached files skip function extraction too.
-//
-// The index serializes to a line-based text format (`wcds-lint-index/v2`;
-// v1 documents, which predate the function summaries, are rejected as
-// incompatible).  The CLI writes it with --index-out (CI caches it across
-// runs) and reads it back with --index-in: a file whose content hash and
-// config fingerprint match its cached entry skips phase 1 entirely, so an
-// incremental lint run re-lexes only what changed.
+// The index lives in memory for one run and is rebuilt from the sources
+// every time: a cold lint of the whole tree takes under a tenth of a second.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "lint/cfg.h"
-
 namespace wcds::lint {
 
-struct Diagnostic;  // tools/lint/lint.h
+struct Diagnostic {
+  std::string file;  // repo-relative, '/'-separated
+  int line = 0;      // 1-based
+  std::string rule;
+  std::string message;
+
+  friend bool operator==(const Diagnostic&, const Diagnostic&) = default;
+};
 
 // One `#include "..."` edge.  `resolved` is the repo-relative path of the
-// included file when it is part of the scanned tree ("" = external header);
-// it is recomputed against the registered file set on every run, so a cached
-// entry stays correct when the scan set changes.
+// included file when it is part of the scanned tree ("" = external header),
+// computed against the registered file set by Linter::run.
 struct IncludeEdge {
   int line = 0;
   std::string written;   // path as written between the quotes
   std::string resolved;  // repo-relative, or "" when not a project file
-
-  friend bool operator==(const IncludeEdge&, const IncludeEdge&) = default;
 };
 
 // A declared identifier of a type the determinism rules track.
@@ -57,8 +50,6 @@ struct Decl {
   int line = 0;
   std::string kind;
   std::string name;
-
-  friend bool operator==(const Decl&, const Decl&) = default;
 };
 
 // A container-iteration event: a range-for over `name`, or `name.begin()` /
@@ -69,8 +60,6 @@ struct IterUse {
   int line = 0;
   std::string how;
   std::string name;
-
-  friend bool operator==(const IterUse&, const IterUse&) = default;
 };
 
 // A relational comparison (`<`, `>`, `<=`, `>=`) between two plain
@@ -79,8 +68,6 @@ struct CompareUse {
   int line = 0;
   std::string lhs;
   std::string rhs;
-
-  friend bool operator==(const CompareUse&, const CompareUse&) = default;
 };
 
 // An enumerator of an `enum *MessageType` (message-type-registry).
@@ -88,31 +75,23 @@ struct EnumeratorFact {
   int line = 0;
   std::string enum_name;
   std::string name;
-
-  friend bool operator==(const EnumeratorFact&, const EnumeratorFact&) =
-      default;
 };
 
 // A metric-name literal recorded through obs::Recorder (metric-doc-sync).
 struct MetricFact {
   int line = 0;
   std::string name;
-
-  friend bool operator==(const MetricFact&, const MetricFact&) = default;
 };
 
 // The non-empty per-line suppression sets, post comment-line propagation.
 struct LineAllow {
   int line = 0;
   std::vector<std::string> rules;  // sorted
-
-  friend bool operator==(const LineAllow&, const LineAllow&) = default;
 };
 
 struct FileIndex {
-  std::string path;                // repo-relative, '/'-separated
-  std::uint64_t content_hash = 0;  // FNV-1a 64 of the raw bytes
-  std::string module;              // "" = not assigned to a layered module
+  std::string path;    // repo-relative, '/'-separated
+  std::string module;  // "" = not assigned to a layered module
 
   std::vector<IncludeEdge> includes;
   std::vector<Decl> decls;
@@ -122,35 +101,14 @@ struct FileIndex {
   std::vector<std::string> named_cases;  // enumerators with a trace name
   std::vector<MetricFact> metric_uses;
   std::vector<LineAllow> allows;
-  std::vector<FunctionSummary> functions;  // tools/lint/cfg.h, source order
 
-  // Diagnostics from the file-local rules, pre-suppression (phase 2 filters
-  // through `allows` so cached entries and fresh ones behave identically).
-  // Stored as parallel arrays to keep this header free of lint.h.
-  std::vector<int> diag_lines;
-  std::vector<std::string> diag_rules;
-  std::vector<std::string> diag_messages;
-
-  friend bool operator==(const FileIndex&, const FileIndex&) = default;
+  // Every diagnostic of the file-local rules; phase 2 filters them by
+  // Config::enabled_rules and `allows`.
+  std::vector<Diagnostic> diagnostics;
 };
 
 struct SemanticIndex {
-  // Fingerprint of every Config field that feeds phase 1; a cached entry is
-  // only reused when it matches (see config_fingerprint in lint.h).
-  std::uint64_t config_fingerprint = 0;
   std::vector<FileIndex> files;  // sorted by path
-
-  friend bool operator==(const SemanticIndex&, const SemanticIndex&) = default;
 };
-
-// FNV-1a 64-bit, the content hash used for index diffing.
-[[nodiscard]] std::uint64_t fnv1a64(const std::string& bytes);
-
-// Line-based text serialization (`wcds-lint-index/v2`); round-trips exactly.
-[[nodiscard]] std::string serialize_index(const SemanticIndex& index);
-
-// Parses `serialize_index` output.  Returns false (and leaves `out`
-// unspecified) on a malformed or version-mismatched document.
-[[nodiscard]] bool parse_index(const std::string& text, SemanticIndex& out);
 
 }  // namespace wcds::lint

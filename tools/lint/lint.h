@@ -5,12 +5,11 @@
 // (standard library only), runs under ctest against the repo tree, and
 // reports file:line diagnostics that CI treats as errors.
 //
-// Since PR 6 the tool is a multi-phase semantic analyzer rather than a line
-// lexer: phase 1 builds a repo-wide semantic index (tools/lint/index.h) —
-// include graph, module assignment, declaration table, usage events, and
-// per-function control-flow graphs (tools/lint/cfg.h) — phase 2 runs flow-
-// and scope-aware rules over that index, and phase 3 runs path-sensitive
-// rules over the CFGs and the cross-TU call table they imply.
+// It is a two-phase semantic analyzer: phase 1 lexes each file and builds
+// a repo-wide semantic index (tools/lint/index.h) -- include graph, module
+// assignment, declaration table, usage events and the file-local rules'
+// diagnostics -- and phase 2 runs the scope-aware and cross-file rules over
+// that index.
 //
 // Rules (ids are stable; see docs/CHECKING.md "Static analysis layers"):
 //
@@ -24,11 +23,7 @@
 //                          constants in src/check/audit.h.
 //   hot-path-alloc         std::map / std::function / std::shared_ptr /
 //                          bare `new` are forbidden in the allocation-free
-//                          simulator delivery files (docs/PERFORMANCE.md);
-//                          flow-aware since phase 3: an allocation (bare
-//                          new, make_shared, make_unique) reachable inside
-//                          a loop in the hot modules (sim, parallel,
-//                          service) fires wherever it sits in the file.
+//                          simulator delivery files (docs/PERFORMANCE.md).
 //   message-type-registry  every enumerator of an `enum *MessageType :
 //                          sim::MessageType` must have a trace-name entry
 //                          (`case kX: return "...";`) somewhere — the
@@ -65,28 +60,12 @@
 //                          implementing modules (wcds, protocols, facade)
 //                          and benchmark BM_ bodies must go through
 //                          core::build() / bench::build_with().
-//   lock-order             the cross-file lock-acquisition graph (scoped
-//                          base::MutexLock declarations, WCDS_REQUIRES /
-//                          WCDS_ACQUIRE annotations, and transitive
-//                          acquisitions through calls) must be acyclic; a
-//                          cycle is a potential deadlock.
-//   audit-after-mutation   in the audited modules (maintenance, wcds) every
-//                          CFG path that mutates backbone state must reach
-//                          a check::audit_invariants / maybe_audit call
-//                          before returning; private mutating helpers
-//                          bubble the obligation to their callers.
-//   rng-draw-discipline    in the seeded-stream scopes (fault::Injector,
-//                          service/) a branch sibling must not skip an RNG
-//                          draw the other path performs: the stream
-//                          position must be a pure function of the call
-//                          sequence, never of data-dependent branches.
 //
 // Suppression: a `// wcds-lint: allow(<rule>[,<rule>...])` comment silences
 // the named rules on its own line; a comment-only line silences them on the
 // following line as well.
 #pragma once
 
-#include <cstdint>
 #include <set>
 #include <string>
 #include <utility>
@@ -95,15 +74,6 @@
 #include "lint/index.h"
 
 namespace wcds::lint {
-
-struct Diagnostic {
-  std::string file;  // repo-relative, '/'-separated
-  int line = 0;      // 1-based
-  std::string rule;
-  std::string message;
-
-  friend bool operator==(const Diagnostic&, const Diagnostic&) = default;
-};
 
 // "<file>:<line>: error: [<rule>] <message>"
 [[nodiscard]] std::string format_diagnostic(const Diagnostic& diagnostic);
@@ -192,41 +162,6 @@ struct Config {
   // disables layer-dag.
   std::vector<ModuleSpec> modules;
 
-  // --- phase-3 control-flow rule scopes ------------------------------------
-
-  // audit-after-mutation: modules whose functions carry the audit
-  // obligation.  A function with no caller inside these modules is a root;
-  // roots whose mutation can reach `return` without an audit are diagnosed
-  // (helpers bubble the obligation to their call sites).
-  std::set<std::string> audit_scope_modules = {"maintenance", "wcds"};
-  // Members treated as backbone state: assignment targets, or receivers of
-  // one of the mutating container methods below.
-  std::set<std::string> backbone_state = {"mis_", "bridges_", "active_",
-                                          "points_", "graph_"};
-  std::set<std::string> backbone_mutating_methods = {
-      "assign", "clear",     "erase",  "insert",
-      "emplace", "push_back", "resize", "swap"};
-  // Calls that mutate backbone state wholesale.
-  std::set<std::string> backbone_mutators = {"link_node", "unlink_node"};
-  // Calls that discharge the audit obligation, and the gate whose presence
-  // in a branch condition counts as an audit point (the sanctioned
-  // `if (check::audits_enabled()) check::audit_invariants(...)` idiom).
-  std::set<std::string> audit_calls = {"audit_invariants", "maybe_audit"};
-  std::string audit_gate = "audits_enabled";
-
-  // rng-draw-discipline: path prefixes whose functions own seeded RNG
-  // streams, and the draw methods whose per-path counts must agree.
-  std::vector<std::string> rng_scope_prefixes = {"src/fault/",
-                                                 "src/service/"};
-  std::set<std::string> rng_draw_methods = {"next", "next_double",
-                                            "next_below"};
-
-  // Flow-aware hot-path-alloc: modules where an allocation event (bare
-  // new, make_shared, make_unique) inside a loop is a diagnostic.  The
-  // line-local hot_path_files ban above is unchanged — those files must be
-  // allocation-free everywhere, not just in loops.
-  std::set<std::string> hot_loop_modules = {"sim", "parallel", "service"};
-
   // Modules allowed to call the per-algorithm construction entrypoints
   // directly (facade-only): the algorithms' own module, the protocol
   // drivers, and the facade that wraps them.  BM_ benchmark bodies are
@@ -246,10 +181,6 @@ struct Config {
 // The module a path belongs to under `config` ("" when unassigned).
 [[nodiscard]] std::string module_for(const std::string& path,
                                      const Config& config);
-
-// Fingerprint of the Config fields phase 1 depends on; cached index entries
-// are only reused when it matches.
-[[nodiscard]] std::uint64_t config_fingerprint(const Config& config);
 
 // One analyzed file in three aligned channels (same line/column layout):
 //   raw   verbatim source lines;
@@ -283,16 +214,9 @@ class Linter {
   // Register an in-memory file (tests) or one loaded from disk (CLI).
   void add_file(std::string path, const std::string& content);
 
-  // Seed phase 1 with a previously serialized index: files whose content
-  // hash and config fingerprint match their cached entry skip re-analysis.
-  void set_cached_index(SemanticIndex cache);
-
-  // Number of files served from the cache by the last run().
-  [[nodiscard]] std::size_t cache_hits() const { return cache_hits_; }
-
-  // Builds the semantic index (phase 1, cache-aware), runs every enabled
-  // rule over it (phase 2).  Diagnostics are sorted by (file, line, rule)
-  // and already filtered by suppressions.
+  // Builds the semantic index (phase 1), runs every enabled rule over it
+  // (phase 2).  Diagnostics are sorted by (file, line, rule) and already
+  // filtered by suppressions.
   [[nodiscard]] std::vector<Diagnostic> run();
 
   // The index built by the last run() (includes resolved, modules assigned).
@@ -303,9 +227,7 @@ class Linter {
 
   Config config_;
   std::vector<std::pair<std::string, std::string>> pending_;  // path, content
-  SemanticIndex cache_;
   SemanticIndex index_;
-  std::size_t cache_hits_ = 0;
 };
 
 }  // namespace wcds::lint

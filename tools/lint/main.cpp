@@ -2,8 +2,7 @@
 //
 //   wcds_lint [--root <dir>] [--rules=<a,b,...>]
 //             [--profile=<repo|tests|bench>] [--format=<plain|github|sarif>]
-//             [--index-in=<file>] [--index-out=<file>]
-//             [--print-config-fingerprint] [--list-rules] [paths...]
+//             [--list-rules] [paths...]
 //
 // Paths are repo-relative files or directories (default: src tools bench),
 // scanned recursively for C++ sources.
@@ -12,7 +11,7 @@
 //   0  clean
 //   1  violations found
 //   2  usage error (unknown flag, bad arguments)
-//   3  I/O or parse failure (unreadable input, corrupt --index-in)
+//   3  I/O failure (unresolvable root, missing or unreadable input)
 //
 // --profile=tests relaxes the style rules for test code (hot-path-alloc and
 // paper-constant off) but keeps the determinism and include rules on, with
@@ -24,13 +23,6 @@
 // --format=sarif writes a SARIF 2.1.0 document to stdout (CI uploads it to
 // code scanning) and moves the summary line to stderr so stdout stays pure
 // JSON.
-//
-// --print-config-fingerprint prints the effective phase-1 config fingerprint
-// and exits; CI keys the cross-run index cache on it so a config change
-// invalidates cached entries.
-//
-// --index-out serializes the semantic index (cached across CI runs);
-// --index-in seeds the next run so unchanged files skip phase 1.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -73,10 +65,9 @@ bool read_file(const fs::path& path, std::string& out) {
 int usage(std::ostream& out, int status) {
   out << "usage: wcds_lint [--root <dir>] [--rules=<a,b,...>]"
          " [--profile=<repo|tests|bench>] [--format=<plain|github|sarif>]"
-         " [--index-in=<file>] [--index-out=<file>]"
-         " [--print-config-fingerprint] [--list-rules] [paths...]\n"
+         " [--list-rules] [paths...]\n"
          "paths default to: src tools bench (relative to --root)\n"
-         "exit: 0 clean, 1 violations, 2 usage error, 3 I/O/parse failure\n";
+         "exit: 0 clean, 1 violations, 2 usage error, 3 I/O failure\n";
   return status;
 }
 
@@ -111,9 +102,6 @@ int main(int argc, char** argv) {
   std::set<std::string> selected_rules;
   std::string profile = "repo";
   std::string format = "plain";
-  std::string index_in_path;
-  std::string index_out_path;
-  bool print_fingerprint = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -150,12 +138,6 @@ int main(int argc, char** argv) {
         std::cerr << "wcds_lint: unknown format " << format << "\n";
         return usage(std::cerr, kExitUsage);
       }
-    } else if (arg == "--print-config-fingerprint") {
-      print_fingerprint = true;
-    } else if (arg.rfind("--index-in=", 0) == 0) {
-      index_in_path = arg.substr(11);
-    } else if (arg.rfind("--index-out=", 0) == 0) {
-      index_out_path = arg.substr(12);
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "wcds_lint: unknown option " << arg << "\n";
       return usage(std::cerr, kExitUsage);
@@ -168,14 +150,6 @@ int main(int argc, char** argv) {
   if (profile == "bench") apply_bench_profile(config);
   // Explicit --rules= narrows whatever the profile enabled.
   if (!selected_rules.empty()) config.enabled_rules = selected_rules;
-
-  if (print_fingerprint) {
-    // CI's index-cache key: the fingerprint of every Config field phase 1
-    // depends on, after profile/rule selection.
-    std::cout << std::hex << wcds::lint::config_fingerprint(config)
-              << std::dec << "\n";
-    return kExitClean;
-  }
 
   std::error_code ec;
   root = fs::canonical(root, ec);
@@ -209,20 +183,6 @@ int main(int argc, char** argv) {
   files.erase(std::unique(files.begin(), files.end()), files.end());
 
   wcds::lint::Linter linter(config);
-  if (!index_in_path.empty()) {
-    std::string text;
-    if (!read_file(fs::path(index_in_path), text)) {
-      std::cerr << "wcds_lint: cannot read index " << index_in_path << "\n";
-      return kExitIoError;
-    }
-    wcds::lint::SemanticIndex cache;
-    if (!wcds::lint::parse_index(text, cache)) {
-      std::cerr << "wcds_lint: corrupt or incompatible index "
-                << index_in_path << "\n";
-      return kExitIoError;
-    }
-    linter.set_cached_index(std::move(cache));
-  }
 
   for (const std::string& file : files) {
     std::string content;
@@ -245,15 +205,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!index_out_path.empty()) {
-    std::ofstream out(index_out_path, std::ios::binary);
-    out << wcds::lint::serialize_index(linter.index());
-    if (!out) {
-      std::cerr << "wcds_lint: cannot write index " << index_out_path << "\n";
-      return kExitIoError;
-    }
-  }
-
   // Always-printed summary so CI logs show the scan's actual extent.  Under
   // --format=sarif it moves to stderr: stdout is the JSON document.
   std::size_t rules_run = config.enabled_rules.empty()
@@ -262,7 +213,6 @@ int main(int argc, char** argv) {
   std::ostream& summary = format == "sarif" ? std::cerr : std::cout;
   summary << "wcds_lint: " << diagnostics.size() << " diagnostic"
           << (diagnostics.size() == 1 ? "" : "s") << " in " << files.size()
-          << " files (" << rules_run << " rules, " << linter.cache_hits()
-          << " from cache)\n";
+          << " files (" << rules_run << " rules)\n";
   return diagnostics.empty() ? kExitClean : kExitViolations;
 }
