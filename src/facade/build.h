@@ -68,8 +68,8 @@ struct BuildOptions {
   // dominator-list pass and for multi-component deployments.  Components
   // never exchange messages, so each runs as an independent sub-run on the
   // pool, and outputs are byte-identical at any count (sim/sharded.h).
-  // Connected graphs take the single-runtime path regardless; centralized
-  // modes ignore it (and still require a connected graph).
+  // A connected graph is one shard, so its protocol run stays inline;
+  // centralized modes ignore it (and still require a connected graph).
   std::size_t threads = 0;
 
   // Fault-tolerance target (wcds/resilient.h).  The default {1, 1} is the

@@ -213,11 +213,7 @@ TransportStats collect_transport_stats(const sim::Runtime& runtime) {
     // nodes outside its shard.
     const auto* node = dynamic_cast<const HardenedNode*>(runtime.node_if(u));
     if (node == nullptr) continue;
-    const TransportStats& stats = node->transport_stats();
-    total.frames_sent += stats.frames_sent;
-    total.retransmits += stats.retransmits;
-    total.acks_sent += stats.acks_sent;
-    total.duplicates_ignored += stats.duplicates_ignored;
+    total += node->transport_stats();
   }
   return total;
 }
@@ -230,11 +226,6 @@ void record_transport_metrics(const TransportStats& total,
   metrics.add("fault/retransmits", total.retransmits);
   metrics.add("fault/acks", total.acks_sent);
   metrics.add("fault/dup_ignored", total.duplicates_ignored);
-}
-
-void record_transport_metrics(const sim::Runtime& runtime,
-                              obs::Recorder* recorder) {
-  record_transport_metrics(collect_transport_stats(runtime), recorder);
 }
 
 }  // namespace wcds::fault

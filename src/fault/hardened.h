@@ -66,6 +66,13 @@ struct TransportStats {
   std::uint64_t acks_sent = 0;
   std::uint64_t duplicates_ignored = 0;  // already-delivered copies heard
 
+  TransportStats& operator+=(const TransportStats& other) {
+    frames_sent += other.frames_sent;
+    retransmits += other.retransmits;
+    acks_sent += other.acks_sent;
+    duplicates_ignored += other.duplicates_ignored;
+    return *this;
+  }
   friend bool operator==(const TransportStats&, const TransportStats&) =
       default;
 };
@@ -163,11 +170,9 @@ class HardenedNode final : public sim::ProtocolNode {
 
 // Fold the summed transport counters into `recorder` as `fault/frames`,
 // `fault/retransmits`, `fault/acks`, `fault/dup_ignored` (null recorder is
-// a no-op).  The stats overload serves the shard merge, which sums
-// per-shard collections before recording once.
+// a no-op).  A sharded run sums its per-shard collections and records the
+// total once.
 void record_transport_metrics(const TransportStats& total,
-                              obs::Recorder* recorder);
-void record_transport_metrics(const sim::Runtime& runtime,
                               obs::Recorder* recorder);
 
 }  // namespace wcds::fault

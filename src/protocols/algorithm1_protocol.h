@@ -124,7 +124,8 @@ struct DistributedAlgorithm1Run {
 // own level-ranked MIS.  The component sub-runs execute on a pool of
 // `threads` (0 = WCDS_THREADS env / hardware default, 1 = serially on the
 // caller); results are byte-identical at any count (sim/sharded.h).  A
-// connected graph always takes the historical single-runtime path.
+// connected graph is a one-shard plan through the same runner
+// (protocols/component_runner.h): it runs inline, with the run's own seeds.
 //
 // `recorder` (explicit, else the ambient obs::global_recorder(), else none)
 // receives wall-clock phase timings, the sim's message metrics and the

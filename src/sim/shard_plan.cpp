@@ -30,6 +30,12 @@ ShardPlan ShardPlan::build(const graph::Graph& g) {
   return plan;
 }
 
+std::uint64_t ShardPlan::stream_seed(std::uint64_t seed,
+                                     std::size_t c) const {
+  if (shard_count() == 1) return seed;
+  return shard_stream_seed(seed, static_cast<std::uint32_t>(c));
+}
+
 std::uint64_t shard_stream_seed(std::uint64_t seed, std::uint32_t component) {
   // Two SplitMix64 passes: the first whitens the run seed, the second splits
   // it per component.  SplitMix64 is designed exactly for deriving

@@ -30,6 +30,13 @@ class ShardPlan {
         offset_[c], offset_[c + 1] - offset_[c]);
   }
 
+  // The RNG stream seed shard c draws from (delay model and fault injector
+  // alike).  A one-shard plan is the whole run, so its lone shard keeps the
+  // run's own `seed`; with two or more shards, shard c draws
+  // shard_stream_seed(seed, c).
+  [[nodiscard]] std::uint64_t stream_seed(std::uint64_t seed,
+                                          std::size_t c) const;
+
   // Component label per node (0..shard_count()-1).
   [[nodiscard]] const std::vector<std::uint32_t>& labels() const {
     return label_;
@@ -43,9 +50,10 @@ class ShardPlan {
 
 // Deterministic per-shard RNG stream seed: a pure function of the run seed
 // and the component index, independent of thread schedule and of how many
-// other components exist.  Both the delay model and the fault injector of
-// shard c reseed through this, so their draws replay exactly whether shards
-// run serially or in parallel.
+// other components exist (ShardPlan::stream_seed applies it whenever there
+// are two or more).  Both the delay model and the fault injector of shard c
+// reseed through it, so their draws replay exactly whether shards run
+// serially or in parallel.
 [[nodiscard]] std::uint64_t shard_stream_seed(std::uint64_t seed,
                                               std::uint32_t component);
 

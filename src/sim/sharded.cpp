@@ -73,6 +73,11 @@ RunStats merge_shards(std::span<const ShardOutcome> outcomes,
 
 void for_each_shard(std::size_t shard_count, std::size_t threads,
                     const std::function<void(std::size_t)>& task) {
+  // A lone shard (a connected graph) runs inline and never creates a pool.
+  if (shard_count == 1) {
+    task(0);
+    return;
+  }
   parallel::pool_for(threads).parallel_for(0, shard_count, 1, task);
 }
 

@@ -9,8 +9,9 @@
 //  - shards are whole connected components (ShardPlan), so no message ever
 //    crosses a shard boundary;
 //  - every per-shard RNG stream (delay model, fault injector) reseeds via
-//    shard_stream_seed(seed, component) — a pure function of the shard, not
-//    of global interleaving or thread schedule;
+//    ShardPlan::stream_seed(seed, component) — a pure function of the shard,
+//    not of global interleaving or thread schedule (a one-shard plan keeps
+//    the run's own seeds);
 //  - each shard writes only its own ShardOutcome slot; the merge folds the
 //    slots in component-index order on the calling thread.
 //
@@ -63,9 +64,9 @@ RunStats merge_shards(std::span<const ShardOutcome> outcomes,
                       obs::Recorder* recorder);
 
 // Execute `task(c)` for c in [0, shard_count) on parallel::pool_for(threads)
-// (0 = WCDS_THREADS env / hardware default).  A one-thread pool runs the
-// shards serially, in index order, on the calling thread.  Tasks must write
-// only shard-local state (their ShardOutcome slot).
+// (0 = WCDS_THREADS env / hardware default).  A single shard, or a
+// one-thread pool, runs serially, in index order, on the calling thread.
+// Tasks must write only shard-local state (their ShardOutcome slot).
 void for_each_shard(std::size_t shard_count, std::size_t threads,
                     const std::function<void(std::size_t)>& task);
 

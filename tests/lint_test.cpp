@@ -700,7 +700,7 @@ TEST(LintEngine, RuleListIsStable) {
       "no-bare-assert",   "paper-constant",  "hot-path-alloc",
       "message-type-registry", "metric-doc-sync", "pragma-once",
       "include-hygiene", "no-unordered-iteration", "no-pointer-order",
-      "no-ambient-entropy", "layer-dag", "facade-only"};
+      "no-ambient-entropy", "layer-dag", "facade-only", "unknown-allow"};
   ASSERT_EQ(rules().size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(rules()[i].name, expected[i]);
@@ -713,6 +713,22 @@ TEST(LintEngine, GithubFormat) {
   EXPECT_EQ(format_diagnostic_github(diag),
             "::error file=src/a.h,line=3::[pragma-once] duplicate #pragma "
             "once");
+}
+
+TEST(LintEngine, UnknownAllowNameFires) {
+  // A misspelled rule and a deleted one each fire once, on the line that
+  // names them; catalogue names, `all` and prose placeholders stay quiet.
+  const auto diags = lint_one(
+      "src/a.cpp",
+      "// wcds-lint: allow(pragma-onse)\n"
+      "int a;\n"
+      "int b;  // wcds-lint: allow(no-bare-assert, lock-order)\n"
+      "int c;  // wcds-lint: allow(include-hygiene)\n"
+      "int d;  // wcds-lint: allow(all)\n"
+      "// syntax: wcds-lint: allow(<rule>, ...)\n");
+  ASSERT_EQ(diags.size(), 2u);
+  EXPECT_TRUE(has(diags, "unknown-allow", 1));
+  EXPECT_TRUE(has(diags, "unknown-allow", 3));
 }
 
 // ---------------------------------------------------------------------------

@@ -139,21 +139,44 @@ TEST(Sharding, Algorithm2ShardedMatchesGlobal) {
   differential_matrix<protocols::DistributedWcdsRun>();
 }
 
-// A connected graph is one shard: every thread count takes the historical
-// single-runtime fast path and must agree byte-for-byte, with the shard
-// gauge pinned at 1 (zero sharding overhead in the degenerate case).
+// A connected graph is a one-shard plan through the same runner as any
+// fleet: it runs inline with the run's own seeds, so every thread count
+// must agree byte-for-byte under unit delays, U(1,5) delays and a chaos
+// fault plan, with the shard gauge at 1 and one shard-run timing.
 TEST(Sharding, SingleGiantComponentDegenerates) {
   const auto inst = testing::connected_udg(200, 8.0, 3);
-  const auto [base, base_cap] =
-      run_captured<protocols::DistributedWcdsRun>(
-          false, inst.g, sim::DelayModel::unit(), nullptr, 1);
-  const auto [sharded, cap] = run_captured<protocols::DistributedWcdsRun>(
-      false, inst.g, sim::DelayModel::unit(), nullptr, 4);
-  expect_same_wcds(base, sharded);
-  expect_same_trace(base_cap.trace, cap.trace);
-  expect_same_metrics(base_cap.metrics, cap.metrics);
-  ASSERT_TRUE(cap.metrics.gauges.contains("sim/shards"));
-  EXPECT_EQ(cap.metrics.gauges.at("sim/shards"), 1.0);
+  const fault::Plan chaos = fault::Plan::chaos(0.1, 0.05, 3, 7);
+  struct Input {
+    const char* name;
+    sim::DelayModel delays;
+    const fault::Plan* faults;
+  };
+  const Input inputs[] = {
+      {"unit", sim::DelayModel::unit(), nullptr},
+      {"async", sim::DelayModel::uniform(1, 5, 11), nullptr},
+      {"chaos", sim::DelayModel::unit(), &chaos},
+  };
+  for (const Input& input : inputs) {
+    SCOPED_TRACE(input.name);
+    const auto [base, base_cap] = run_captured<protocols::DistributedWcdsRun>(
+        false, inst.g, input.delays, input.faults, 1);
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+      const auto [sharded, cap] = run_captured<protocols::DistributedWcdsRun>(
+          false, inst.g, input.delays, input.faults, threads);
+      expect_same_wcds(base, sharded);
+      expect_same_trace(base_cap.trace, cap.trace);
+      expect_same_metrics(base_cap.metrics, cap.metrics);
+      ASSERT_TRUE(cap.metrics.gauges.contains("sim/shards"));
+      EXPECT_EQ(cap.metrics.gauges.at("sim/shards"), 1.0);
+      ASSERT_TRUE(cap.metrics.histograms.contains("phase_ms/sim/shard_run"));
+      EXPECT_EQ(cap.metrics.histograms.at("phase_ms/sim/shard_run").count,
+                1u);
+    }
+    if (input.faults != nullptr) {
+      EXPECT_GT(base_cap.metrics.counters.at("fault/dropped"), 0u);
+    }
+  }
 }
 
 // An edgeless graph is all singleton components; every node dominates its

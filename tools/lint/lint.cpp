@@ -63,7 +63,7 @@ std::string_view read_identifier(std::string_view line, std::size_t pos) {
   return line.substr(pos, end - pos);
 }
 
-// `// wcds-lint: allow(rule-a, rule-b)` inside a comment.
+// The `allow(<rule>, ...)` list after `wcds-lint:` inside a comment.
 void parse_suppressions(std::string_view comment, std::set<std::string>& out) {
   static constexpr std::string_view kKey = "wcds-lint:";
   std::size_t pos = 0;
@@ -352,6 +352,9 @@ const std::vector<RuleInfo>& rules() {
        "direct core::algorithm1/2 / protocols::run_algorithm1/2 calls "
        "outside wcds/, protocols/, facade/ and BM_ bench bodies must use "
        "core::build() / bench::build_with()"},
+      {"unknown-allow",
+       "a wcds-lint: allow(...) comment may name only catalogue rules or "
+       "`all` (any other name silences nothing)"},
   };
   return kRules;
 }
@@ -1295,6 +1298,33 @@ void rule_facade_only(const SourceFile& file, const std::string& module,
   }
 }
 
+void rule_unknown_allow(const SourceFile& file,
+                        std::vector<Diagnostic>& diags) {
+  std::set<std::string> known{"all"};
+  for (const RuleInfo& rule : rules()) known.insert(rule.name);
+  for (std::size_t i = 0; i < file.allowed.size(); ++i) {
+    for (const std::string& name : file.allowed[i]) {
+      // Only rule-shaped names: prose spelling out the syntax, as in
+      // `allow(<rule>)` or `allow(...)`, is not a suppression.
+      const bool rule_shaped =
+          !name.empty() && std::all_of(name.begin(), name.end(), [](char c) {
+            return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
+                   c == '-';
+          });
+      if (!rule_shaped || known.count(name) != 0) continue;
+      // Reported where it is written, not again on the line a comment-only
+      // suppression carries over to.
+      const bool carried = i > 0 && is_space_only(file.pure[i - 1]) &&
+                           file.allowed[i - 1].count(name) != 0;
+      if (carried) continue;
+      diags.push_back({file.path, static_cast<int>(i + 1), "unknown-allow",
+                       "allow(" + name +
+                           ") names no rule of the catalogue, so it "
+                           "silences nothing (wcds_lint --list-rules)"});
+    }
+  }
+}
+
 // --- cross-file registries (facts in phase 1, judged in phase 2) ------------
 
 // Collects the enumerators of every `enum <X>MessageType` in `file`.
@@ -1490,6 +1520,7 @@ FileIndex analyze_file(const std::string& path, const std::string& content,
   rule_no_ambient_entropy(source, config, local);
   rule_no_pointer_order_local(source, index.module, config, local);
   rule_facade_only(source, index.module, config, local);
+  rule_unknown_allow(source, local);
   return index;
 }
 

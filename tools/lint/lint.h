@@ -60,6 +60,9 @@
 //                          implementing modules (wcds, protocols, facade)
 //                          and benchmark BM_ bodies must go through
 //                          core::build() / bench::build_with().
+//   unknown-allow          a `wcds-lint: allow(...)` comment names a rule
+//                          missing from the catalogue (other than `all`):
+//                          a typo or a deleted rule silences nothing.
 //
 // Suppression: a `// wcds-lint: allow(<rule>[,<rule>...])` comment silences
 // the named rules on its own line; a comment-only line silences them on the

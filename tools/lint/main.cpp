@@ -77,7 +77,8 @@ int usage(std::ostream& out, int status) {
 void apply_tests_profile(wcds::lint::Config& config) {
   config.enabled_rules = {"pragma-once",          "include-hygiene",
                           "no-unordered-iteration", "no-pointer-order",
-                          "no-ambient-entropy",   "layer-dag"};
+                          "no-ambient-entropy",   "layer-dag",
+                          "unknown-allow"};
   config.trace_affecting_prefixes.push_back("tests/");
   config.entropy_scope_prefixes.push_back("tests/");
 }
@@ -89,7 +90,7 @@ void apply_tests_profile(wcds::lint::Config& config) {
 void apply_bench_profile(wcds::lint::Config& config) {
   config.enabled_rules = {"pragma-once", "include-hygiene",
                           "no-unordered-iteration", "no-pointer-order",
-                          "layer-dag"};
+                          "layer-dag", "unknown-allow"};
   config.trace_affecting_prefixes.push_back("bench/");
 }
 

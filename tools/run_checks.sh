@@ -9,6 +9,12 @@
 #   tools/run_checks.sh tsan       # ThreadSanitizer build + ctest
 #   tools/run_checks.sh tidy       # clang-tidy gate (skipped if not installed)
 #   tools/run_checks.sh clang      # clang build with -Wthread-safety + ctest
+#   tools/run_checks.sh perf-reports       # build the gated benches, write
+#                                          # BENCH_<id>.json reports
+#   tools/run_checks.sh perf-gate          # compare those reports with
+#                                          # bench/baselines/
+#   tools/run_checks.sh refresh-baselines  # re-run the gated benches plus A6
+#                                          # and rewrite bench/baselines/
 #
 # Stages that need tools the host may lack (tidy: clang-tidy, clang: clang++)
 # normally SKIP when the tool is missing; set WCDS_REQUIRE_TOOLS=1 (CI does)
@@ -25,6 +31,67 @@ WCDS_REQUIRE_TOOLS="${WCDS_REQUIRE_TOOLS:-0}"
 FAILURES=()
 
 banner() { printf '\n==== %s ====\n' "$*"; }
+
+# The benches the perf gate compares with bench/baselines/, one
+# "<binary>:<WCDS_THREADS>" entry each ("-" leaves WCDS_THREADS unset).
+# bench_<id>_* writes BENCH_<id>.json, compared with
+# bench/baselines/BENCH_<id>.json.  checks.yml's perf-gate job and
+# refresh-baselines.yml both run this one list.
+PERF_BENCHES=(
+  bench_a5_runtime:2
+  bench_t4_complexity:-
+  bench_a7_serving:2
+  bench_a8_sharding:2
+  bench_a9_resilience:2
+)
+# A6's message counts are gated exactly by checks.yml's build-and-test job;
+# a refresh rewrites its baseline together with the others.
+REFRESH_BENCHES=("${PERF_BENCHES[@]}" bench_a6_faults:-)
+
+# report_id bench_a5_runtime:2 -> a5
+report_id() {
+  local bench="${1%%:*}"
+  bench="${bench#bench_}"
+  printf '%s' "${bench%%_*}"
+}
+
+# bench_reports <entry>...: build the benches under the default preset and
+# write each one's BENCH_<id>.json report into the repo root.
+bench_reports() {
+  local entry bench threads report targets=()
+  for entry in "$@"; do targets+=("${entry%%:*}"); done
+  banner "configure [default]"
+  cmake --preset default
+  banner "build [${targets[*]}]"
+  cmake --build --preset default -j "$JOBS" --target "${targets[@]}"
+  for entry in "$@"; do
+    bench="${entry%%:*}"
+    threads="${entry#*:}"
+    report="BENCH_$(report_id "$entry").json"
+    banner "$bench -> $report (WCDS_THREADS=$threads)"
+    if [ "$threads" = "-" ]; then
+      "./build/bench/$bench" --json_out="$report" --benchmark_filter=__none__
+    else
+      WCDS_THREADS="$threads" "./build/bench/$bench" --json_out="$report" \
+        --benchmark_filter=__none__
+    fi
+  done
+}
+
+# compare_baselines [--refresh-baselines] <entry>...: one compare_bench.py
+# --pair per bench, committed baseline first.
+compare_baselines() {
+  local args=() entry id
+  if [ "${1:-}" = "--refresh-baselines" ]; then
+    args+=("$1")
+    shift
+  fi
+  for entry in "$@"; do
+    id="$(report_id "$entry")"
+    args+=(--pair "bench/baselines/BENCH_$id.json" "BENCH_$id.json")
+  done
+  python3 tools/compare_bench.py "${args[@]}"
+}
 
 # skip_or_fail <stage> <tool>: honor WCDS_REQUIRE_TOOLS for a missing tool.
 skip_or_fail() {
@@ -98,9 +165,32 @@ stage_clang() {
   ctest --preset clang -j "$JOBS"
 }
 
+stage_perf_reports() {
+  bench_reports "${PERF_BENCHES[@]}"
+}
+
+stage_perf_gate() {
+  banner "compare_bench.py vs bench/baselines"
+  compare_baselines "${PERF_BENCHES[@]}"
+}
+
+stage_refresh_baselines() {
+  bench_reports "${REFRESH_BENCHES[@]}"
+  banner "compare_bench.py --refresh-baselines"
+  compare_baselines --refresh-baselines "${REFRESH_BENCHES[@]}"
+}
+
 run_stage() {
-  local name="$1"
-  if "stage_$name"; then
+  local name="$1" status
+  # errexit is ignored inside an `if` or `||` condition, which would let a
+  # failing command in the middle of a stage pass unnoticed; so each stage
+  # runs in a subshell of its own with errexit on, and its status is read
+  # afterwards.
+  set +e
+  (set -e; "stage_${name//-/_}")
+  status=$?
+  set -e
+  if [ "$status" -eq 0 ]; then
     banner "$name OK"
   else
     banner "$name FAILED"
@@ -116,9 +206,10 @@ fi
 for stage in "${STAGES[@]}"; do
   case "$stage" in
     default|lint|asan|tsan|tidy|clang) run_stage "$stage" ;;
+    perf-reports|perf-gate|refresh-baselines) run_stage "$stage" ;;
     asan-ubsan) run_stage asan ;;
     *)
-      echo "unknown stage: $stage (expected default|lint|asan|tsan|tidy|clang)" >&2
+      echo "unknown stage: $stage (expected default|lint|asan|tsan|tidy|clang|perf-reports|perf-gate|refresh-baselines)" >&2
       exit 2
       ;;
   esac
