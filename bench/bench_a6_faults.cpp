@@ -45,11 +45,7 @@ std::string pct(double rate) {
   return std::to_string(static_cast<int>(rate * 100 + 0.5));
 }
 
-void set_gauge(const std::string& name, double value) {
-  if (obs::Recorder* rec = obs::global_recorder()) {
-    rec->metrics().set(name, value);
-  }
-}
+using bench::set_gauge;
 
 void print_a6a() {
   bench::banner(std::cout,
@@ -145,6 +141,8 @@ void print_a6b() {
                    bench::fmt(median(extra_msgs), 0)});
     set_gauge("a6/recovery_ms/drop" + pct(drop), median(recovery_ms));
     set_gauge("a6/recovery_msgs/drop" + pct(drop), median(extra_msgs));
+    set_gauge("a6b/recovered/drop" + pct(drop),
+              static_cast<double>(recovered) / static_cast<double>(kSeeds));
   }
   table.print(std::cout);
 }

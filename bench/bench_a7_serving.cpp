@@ -60,11 +60,7 @@ const Scenario& scenario_for(std::uint32_t n) {
   return it->second;
 }
 
-void set_gauge(const std::string& name, double value) {
-  if (obs::Recorder* rec = obs::global_recorder()) {
-    rec->metrics().set(name, value);
-  }
-}
+using bench::set_gauge;
 
 void print_a7a() {
   bench::banner(std::cout,

@@ -44,11 +44,7 @@ double ms_since(Clock::time_point start) {
       .count();
 }
 
-void set_gauge(const std::string& name, double value) {
-  if (obs::Recorder* rec = obs::global_recorder()) {
-    rec->metrics().set(name, value);
-  }
-}
+using bench::set_gauge;
 
 // The A8 fleet deployment: kFleetClusters far-apart connected UDGs with
 // node ids interleaved round-robin (component membership non-contiguous in

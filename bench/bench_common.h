@@ -97,6 +97,13 @@ template <typename Fn>
   return results;
 }
 
+// Record a gauge into the --json_out report; a no-op without --json_out.
+inline void set_gauge(const std::string& name, double value) {
+  if (obs::Recorder* rec = obs::global_recorder()) {
+    rec->metrics().set(name, value);
+  }
+}
+
 // Run the unified construction facade in one mode with default options;
 // the reproduction tables go through here so phase timings and build
 // metrics land in the --json_out snapshot.

@@ -4,6 +4,7 @@
 #include "bench_common.h"
 
 #include <iostream>
+#include <string>
 
 #include "bench_support/table.h"
 #include "geom/rng.h"
@@ -16,6 +17,7 @@
 namespace {
 
 using namespace wcds;
+using bench::set_gauge;
 
 void print_tables() {
   bench::banner(std::cout,
@@ -62,6 +64,9 @@ void print_tables() {
                      bench::fmt(mean_region / n, 3),
                      bench::fmt_count(demoted), bench::fmt_count(promoted),
                      bench::fmt_count(bridges)});
+      set_gauge("t6/violations/n" + std::to_string(n) + "_r" +
+                    bench::fmt(radius, 2),
+                static_cast<double>(violations));
     }
   }
   table.print(std::cout);
@@ -119,6 +124,9 @@ void print_tables() {
     const char* name = kind == 0   ? "random waypoint"
                        : kind == 1 ? "random walk"
                                    : "group (RPGM)";
+    const char* key = kind == 0 ? "waypoint" : kind == 1 ? "walk" : "group";
+    set_gauge(std::string("t6b/violations/") + key,
+              static_cast<double>(violations));
     models.add_row({name, bench::fmt_count(violations),
                     bench::fmt_count(roles),
                     bench::fmt(events > 0 ? static_cast<double>(region_total) /
@@ -163,6 +171,7 @@ void print_tables() {
                    bench::fmt(per_event, 1),
                    bench::fmt(per_event / pn, 3),
                    all_valid ? "yes" : "NO"});
+    set_gauge("t6c/valid/n" + std::to_string(pn), all_valid ? 1.0 : 0.0);
   }
   proto.print(std::cout);
   std::cout << "\nExpected shape: bootstrap costs ~2 messages per node; each "

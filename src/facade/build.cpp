@@ -43,7 +43,7 @@ BuildReport build(const graph::Graph& g, const BuildOptions& options) {
       Algorithm1Options algorithm_options;
       algorithm_options.root = options.root;
       algorithm_options.tree = options.tree;
-      report.result = algorithm1(g, algorithm_options);
+      report.result = algorithm1(g, algorithm_options, rec);
       report.mis = mis_from_members(report.result.mis_dominators, n);
       // The default leadership criterion picks the minimum ID (node 0 —
       // ids are dense).
@@ -53,7 +53,7 @@ BuildReport build(const graph::Graph& g, const BuildOptions& options) {
     case BuildAlgorithm::kAlgorithm2Central: {
       Algorithm2Options algorithm_options;
       algorithm_options.selection = options.selection;
-      Algorithm2Output out = algorithm2(g, algorithm_options);
+      Algorithm2Output out = algorithm2(g, algorithm_options, rec);
       report.result = std::move(out.result);
       report.mis = std::move(out.mis);
       report.lists = std::move(out.lists);

@@ -8,19 +8,11 @@ namespace wcds::fault {
 
 Injector::Injector(Plan plan, std::size_t node_count)
     : plan_(std::move(plan)), rng_(plan_.seed) {
-  WCDS_REQUIRE(plan_.drop >= 0.0 && plan_.drop < 1.0,
-               "fault::Injector: drop probability must be in [0, 1)");
-  WCDS_REQUIRE(plan_.duplicate >= 0.0 && plan_.duplicate <= 1.0,
-               "fault::Injector: duplicate probability must be in [0, 1]");
+  plan_.require_valid_probabilities();
   std::sort(plan_.link_overrides.begin(), plan_.link_overrides.end(),
             [](const LinkOverride& a, const LinkOverride& b) {
               return a.link_slot < b.link_slot;
             });
-  for (const LinkOverride& entry : plan_.link_overrides) {
-    WCDS_REQUIRE(entry.drop >= 0.0 && entry.drop < 1.0 &&
-                     entry.duplicate >= 0.0 && entry.duplicate <= 1.0,
-                 "fault::Injector: link override probability out of range");
-  }
   if (!plan_.crashes.empty()) {
     std::sort(plan_.crashes.begin(), plan_.crashes.end(),
               [](const CrashWindow& a, const CrashWindow& b) {

@@ -28,6 +28,18 @@ Plan& Plan::crash(NodeId node, sim::SimTime down_from, sim::SimTime up_at) {
   return *this;
 }
 
+void Plan::require_valid_probabilities() const {
+  WCDS_REQUIRE(drop >= 0.0 && drop < 1.0,
+               "fault::Plan: drop probability must be in [0, 1)");
+  WCDS_REQUIRE(duplicate >= 0.0 && duplicate <= 1.0,
+               "fault::Plan: duplicate probability must be in [0, 1]");
+  for (const LinkOverride& entry : link_overrides) {
+    WCDS_REQUIRE(entry.drop >= 0.0 && entry.drop < 1.0 &&
+                     entry.duplicate >= 0.0 && entry.duplicate <= 1.0,
+                 "fault::Plan: link override probability out of range");
+  }
+}
+
 std::size_t Plan::blackout_region(std::span<const geom::Point> points,
                                   const geom::Point& center, double radius,
                                   sim::SimTime down_from, sim::SimTime up_at) {

@@ -70,6 +70,11 @@ struct Plan {
 
   Plan& crash(NodeId node, sim::SimTime down_from, sim::SimTime up_at);
 
+  // Throws std::invalid_argument unless every drop probability (global and
+  // per link) is in [0, 1) and every duplicate probability in [0, 1]; NaN
+  // fails both.  Every interpreter of a plan calls this before using it.
+  void require_valid_probabilities() const;
+
   // Blackout every node within `radius` of `center` for [down_from, up_at);
   // returns how many nodes the region covered.
   std::size_t blackout_region(std::span<const geom::Point> points,

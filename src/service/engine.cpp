@@ -111,6 +111,7 @@ ServingEngine::ServingEngine(const graph::Graph& g, core::Algorithm2View wcds,
   // Fault plan digestion: crash windows per node, per-link drop table.
   const fault::Plan* plan = opts_.faults;
   if (plan != nullptr) {
+    plan->require_valid_probabilities();
     any_faults_ = plan->drop > 0.0 || !plan->crashes.empty() ||
                   !plan->link_overrides.empty();
     if (!plan->crashes.empty()) {

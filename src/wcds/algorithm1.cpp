@@ -12,10 +12,11 @@
 
 namespace wcds::core {
 
-WcdsResult algorithm1(const graph::Graph& g, const Algorithm1Options& options) {
+WcdsResult algorithm1(const graph::Graph& g, const Algorithm1Options& options,
+                      obs::Recorder* recorder) {
   WCDS_REQUIRE(g.node_count() > 0, "algorithm1: empty graph");
   WCDS_REQUIRE(graph::is_connected(g), "algorithm1: graph must be connected");
-  obs::Recorder* rec = obs::global_recorder();
+  obs::Recorder* rec = obs::recorder_or_global(recorder);
   obs::PhaseTimer total_timer(rec, "alg1_central/total");
   const NodeId root = options.root == kInvalidNode ? 0 : options.root;
   WCDS_REQUIRE_BOUNDS(root < g.node_count(), "algorithm1: root out of range");

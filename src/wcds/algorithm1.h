@@ -11,6 +11,7 @@
 
 #include "graph/graph.h"
 #include "graph/types.h"
+#include "obs/recorder.h"
 #include "wcds/wcds_result.h"
 
 namespace wcds::core {
@@ -29,8 +30,11 @@ struct Algorithm1Options {
 };
 
 // Precondition: g is connected (the virtual-backbone problem is defined on a
-// connected network).  Throws std::invalid_argument otherwise.
+// connected network).  Throws std::invalid_argument otherwise.  Metrics and
+// phase timings go to `recorder` (explicit, else the ambient
+// obs::global_recorder(), else none).
 [[nodiscard]] WcdsResult algorithm1(const graph::Graph& g,
-                                    const Algorithm1Options& options = {});
+                                    const Algorithm1Options& options = {},
+                                    obs::Recorder* recorder = nullptr);
 
 }  // namespace wcds::core

@@ -69,10 +69,11 @@ DominatorLists compute_dominator_lists(const graph::Graph& g,
 }
 
 Algorithm2Output algorithm2(const graph::Graph& g,
-                            const Algorithm2Options& options) {
+                            const Algorithm2Options& options,
+                            obs::Recorder* recorder) {
   WCDS_REQUIRE(g.node_count() > 0, "algorithm2: empty graph");
   WCDS_REQUIRE(graph::is_connected(g), "algorithm2: graph must be connected");
-  obs::Recorder* rec = obs::global_recorder();
+  obs::Recorder* rec = obs::recorder_or_global(recorder);
   obs::PhaseTimer total_timer(rec, "alg2_central/total");
 
   Algorithm2Output out;

@@ -16,6 +16,7 @@
 #include "graph/graph.h"
 #include "graph/types.h"
 #include "mis/mis.h"
+#include "obs/recorder.h"
 #include "wcds/wcds_result.h"
 
 namespace wcds::core {
@@ -86,7 +87,10 @@ class Algorithm2View {
 };
 
 // Precondition: g is connected.  Throws std::invalid_argument otherwise.
+// Metrics and phase timings go to `recorder` (explicit, else the ambient
+// obs::global_recorder(), else none).
 [[nodiscard]] Algorithm2Output algorithm2(const graph::Graph& g,
-                                          const Algorithm2Options& options = {});
+                                          const Algorithm2Options& options = {},
+                                          obs::Recorder* recorder = nullptr);
 
 }  // namespace wcds::core

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "check/check.h"
 #include "facade/build.h"
@@ -135,6 +137,25 @@ TEST(Facade, RecorderSnapshotCapturesBuildMetrics) {
   // The sim's own counters flow through the same recorder.
   EXPECT_EQ(metrics.counters.at("sim/transmissions"),
             report.stats.transmissions);
+}
+
+TEST(Facade, CentralModesRecordIntoTheCallersRecorder) {
+  const auto inst = testing::connected_udg(60, 8.0, 8);
+  ASSERT_EQ(obs::global_recorder(), nullptr);
+  for (const auto& [algorithm, prefix] :
+       {std::pair{core::BuildAlgorithm::kAlgorithm1Central, "alg1_central"},
+        std::pair{core::BuildAlgorithm::kAlgorithm2Central, "alg2_central"}}) {
+    obs::Recorder recorder;
+    const auto report = build_mode(inst.g, algorithm, &recorder);
+    const auto& metrics = report.metrics;
+    const std::string name(prefix);
+    EXPECT_EQ(metrics.counters.at(name + "/runs"), 1u) << name;
+    EXPECT_DOUBLE_EQ(metrics.histograms.at(name + "/wcds_size").mean,
+                     static_cast<double>(report.result.size()))
+        << name;
+    EXPECT_EQ(metrics.histograms.at("phase_ms/" + name + "/total").count, 1u)
+        << name;
+  }
 }
 
 TEST(Facade, NoRecorderLeavesMetricsEmpty) {

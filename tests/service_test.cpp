@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <vector>
 
 #include "check/audit.h"
@@ -293,6 +295,24 @@ TEST(Serving, LossMakesRetriesNotLossesUntilAttemptsRunOut) {
   EXPECT_EQ(os.retries, 0u);  // one attempt per hop: failures drop instantly
   EXPECT_GT(rs.deliverability(), 0.99);
   EXPECT_LT(os.deliverability(), rs.deliverability());
+}
+
+TEST(Serving, RejectsPlansTheInjectorRejects) {
+  const auto sc = make_scenario(60, 10.0, 5, 8, 2);
+  fault::Plan with_link = fault::Plan::lossy(0.1, 3);
+  with_link.link_overrides.push_back({0, 1.0, 0.0});
+  const fault::Plan bad[] = {
+      fault::Plan::lossy(1.5, 3),
+      fault::Plan::lossy(std::nan(""), 3),
+      fault::Plan::chaos(0.1, -0.5, 0, 3),
+      with_link,
+  };
+  for (const fault::Plan& plan : bad) {
+    ServingOptions options;
+    options.faults = &plan;
+    EXPECT_THROW((void)ServingEngine(sc.inst.g, sc.wcds, sc.registry, options),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Serving, CrashedNetworkOnlyServesLocalRequests) {

@@ -1,30 +1,46 @@
 #!/usr/bin/env python3
-"""Perf-regression gate over wcds-bench/v1 JSON reports.
+"""Bench gate over wcds-bench/v1 JSON reports.
 
-Compares a freshly produced bench report against the committed baseline
-(bench/baselines/) and FAILS — exit code 1 — when any timing metric
-regressed beyond the tolerance.  This is the script behind the perf-gate CI
-job: the gate acts on medians, lower-is-better, so noisy single samples
-don't flap the build, and a genuine 2x slowdown cannot land silently.
+This is the only code that judges a bench report.  It compares each freshly
+produced report with its committed baseline (bench/baselines/) and FAILS —
+exit code 1 — on a malformed report, a pinned gauge off its pin, or a timing
+regression beyond the tolerance.  ``tools/run_checks.sh perf-gate`` runs it
+over every bench in that script's list, and CI's perf-gate job runs that
+stage.
 
-What is compared (everything else in the reports is ignored):
-  * gauges whose name matches a timing prefix (``a5/flat_ms/``,
-    ``a5/map_ms/``, ``a6/recovery_ms/`` ... — see TIMING_GAUGE_PREFIXES),
-  * the ``p50`` of every ``phase_ms/*`` histogram.
+What is judged (everything else in the reports is ignored):
 
-A fresh value regresses when  fresh > baseline * (1 + tolerance)  and the
-absolute slowdown exceeds ``--min-abs-ms`` (sub-millisecond phases jitter by
-multiples of themselves on shared CI runners).  Metrics present in only one
-report are reported but never fail the gate — adding or retiring a bench
-config must not require lockstep baseline edits.
+  * Well-formedness.  Both reports must be ``wcds-bench/v1`` documents:
+    a non-empty ``bench`` name, sections whose tables all have headers and
+    rows, ``counters``/``gauges``/``histograms`` objects with complete
+    histograms (count, min, max, mean, p50, p95), and at least one timing
+    metric or pinned gauge for the gate to act on.  The fresh report may
+    not leave empty a metric kind that the baseline has.
+
+  * Pinned gauges (PINNED_GAUGES, keyed by the report's ``bench`` name).
+    Message counts, deliverability, identity and zero-violation flags are
+    functions of the seeds alone, so they are compared exactly on any
+    host.  A family is pinned either to BASELINE (each value equals the
+    committed baseline's) or to a constant.  The gate fails when a pinned
+    value differs from its pin, when a pinned name of the baseline is
+    missing from the fresh report, when a BASELINE-pinned name is new in
+    the fresh report (there is nothing to compare it with), or when a
+    pinned family has no gauge in the fresh report.
+
+  * Timing metrics: gauges whose name matches a timing prefix
+    (``a5/flat_ms/``, ``a6/recovery_ms/`` ... — see TIMING_GAUGE_PREFIXES)
+    and the ``p50`` of every ``phase_ms/*`` histogram.  A fresh value
+    regresses when  fresh > baseline * (1 + tolerance)  and the absolute
+    slowdown exceeds ``--min-abs-ms`` (sub-millisecond phases jitter by
+    multiples of themselves on shared CI runners).  Timing metrics present
+    in only one report are reported but never fail the gate — adding or
+    retiring a bench config must not require lockstep baseline edits.
 
 ``--refresh-baselines`` flips the tool from gate to maintenance mode: each
-fresh report is copied over its baseline path verbatim (the full report, not
-just the timing metrics, so future comparisons see exactly what a rerun
-would produce).  A fresh report with no timing metrics is refused — that
-would disarm the gate silently.  Use it after an accepted perf change to
-re-pin the committed baselines in one command instead of hand-copying
-report files.
+fresh report is copied over its baseline path verbatim (the full report, so
+future comparisons see exactly what a rerun would produce).  A report that
+is malformed or has neither timing metrics nor pinned gauges is refused —
+it would disarm the gate silently.
 
 Usage:
   compare_bench.py --pair baseline.json fresh.json [--pair ...]
@@ -36,12 +52,17 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import shutil
 import sys
 import tempfile
 from typing import Dict, List, Tuple
+
+SCHEMA = "wcds-bench/v1"
+HISTOGRAM_KEYS = {"count", "min", "max", "mean", "p50", "p95"}
+METRIC_KINDS = ("counters", "gauges", "histograms")
 
 TIMING_GAUGE_PREFIXES = (
     "a5/flat_ms/",
@@ -56,6 +77,39 @@ TIMING_GAUGE_PREFIXES = (
 )
 PHASE_HISTOGRAM_PREFIX = "phase_ms/"
 
+BASELINE = "baseline"
+PINNED_GAUGES: Dict[str, Dict[str, object]] = {
+    # sim::Runtime equals the map-queue oracle in every (alg, delays, n) cell.
+    "bench_a5_runtime": {"a5/identical/": 1.0},
+    # Theorem 12's message bound, measured on the hardened transport, and
+    # MIS-maintenance recovery under loss.
+    "bench_a6_faults": {
+        "a6/msgs/": BASELINE,
+        "a6/retransmits/": BASELINE,
+        "a6/completion_time/": BASELINE,
+        "a6/recovery_msgs/": BASELINE,
+        "a6b/recovered/": 1.0,
+    },
+    # Serve outcomes are pure functions of (request, index) at any thread
+    # count.
+    "bench_a7_serving": {"a7/deliverability/": BASELINE, "a7/identical/": 1.0},
+    # Sharded runs at 2/4/8 threads equal the serial run.
+    "bench_a8_sharding": {"a8/identical/": 1.0},
+    # (k,m)-resilient backbones survive every crash with zero repair.
+    "bench_a9_resilience": {
+        "a9/survived/": 1.0,
+        "a9/resilient_repair_events/": 0.0,
+        "a9/plain_repair_events/": BASELINE,
+    },
+    # Section 4.2 maintenance: audit-clean after every event and step, and a
+    # valid MIS after every maintenance-protocol update.
+    "bench_t6_maintenance": {
+        "t6/violations/": 0.0,
+        "t6b/violations/": 0.0,
+        "t6c/valid/": 1.0,
+    },
+}
+
 
 def timing_metrics(report: dict) -> Dict[str, float]:
     """Extract the comparable name -> milliseconds map from one report."""
@@ -68,6 +122,69 @@ def timing_metrics(report: dict) -> Dict[str, float]:
         if name.startswith(PHASE_HISTOGRAM_PREFIX) and "p50" in hist:
             out[name + "#p50"] = float(hist["p50"])
     return out
+
+
+def pinned_gauges(report: dict) -> Dict[str, Dict[str, float]]:
+    """family -> {name: value} for every pinned family of the report's bench."""
+    gauges = report["metrics"]["gauges"]
+    return {
+        family: {k: float(v) for k, v in gauges.items() if k.startswith(family)}
+        for family in PINNED_GAUGES.get(report["bench"], {})
+    }
+
+
+def malformed(report: dict) -> List[str]:
+    """Why `report` is not a well-formed wcds-bench/v1 document (or [])."""
+    if report.get("schema") != SCHEMA:
+        return [f"not a {SCHEMA} document"]
+    problems: List[str] = []
+    if not report.get("bench"):
+        problems.append("empty bench name")
+    sections = report.get("sections") or []
+    if not sections or not all(
+        section.get("tables")
+        and all(t.get("headers") and t.get("rows") for t in section["tables"])
+        for section in sections
+    ):
+        problems.append("no sections, or a section without tables, or a "
+                        "table without headers or rows")
+    metrics = report.get("metrics") or {}
+    if not all(isinstance(metrics.get(kind), dict) for kind in METRIC_KINDS):
+        return problems + ["metrics lack counters, gauges or histograms"]
+    for name, hist in metrics["histograms"].items():
+        if not HISTOGRAM_KEYS <= hist.keys():
+            problems.append(f"histogram {name} lacks one of "
+                            f"{', '.join(sorted(HISTOGRAM_KEYS))}")
+    if not problems and not timing_metrics(report) and not any(
+        pinned_gauges(report).values()
+    ):
+        problems.append("neither timing metrics nor pinned gauges")
+    return problems
+
+
+def check_pins(baseline: dict, fresh: dict) -> Tuple[List[str], int]:
+    """Returns (failures, pinned gauges that equal their pin)."""
+    failures: List[str] = []
+    matched = 0
+    base_families = pinned_gauges(baseline)
+    for family, fresh_values in pinned_gauges(fresh).items():
+        pin = PINNED_GAUGES[fresh["bench"]][family]
+        base_values = base_families.get(family, {})
+        if not fresh_values:
+            failures.append(f"PINNED {family}*: no gauge in the fresh report")
+        for name in sorted(set(base_values) - set(fresh_values)):
+            failures.append(f"PINNED {name}: in the baseline only")
+        for name, value in sorted(fresh_values.items()):
+            if pin == BASELINE and name not in base_values:
+                failures.append(f"PINNED {name}: in the fresh report only")
+                continue
+            want = base_values[name] if pin == BASELINE else float(pin)
+            if value == want:
+                matched += 1
+            else:
+                failures.append(f"PINNED {name}: {value:g}, pinned to "
+                                f"{want:g}")
+    return failures, matched
 
 
 def compare(
@@ -97,85 +214,122 @@ def compare(
     return regressions, notes
 
 
+def judge(
+    baseline_report: dict,
+    fresh_report: dict,
+    tolerance: float,
+    min_abs_ms: float,
+) -> Tuple[List[str], List[str], int, int]:
+    """Returns (failures, notes, timing metrics compared, pins matched)."""
+    failures = [f"MALFORMED baseline: {p}" for p in malformed(baseline_report)]
+    failures += [f"MALFORMED fresh report: {p}"
+                 for p in malformed(fresh_report)]
+    if failures:
+        return failures, [], 0, 0
+    for kind in METRIC_KINDS:
+        if baseline_report["metrics"][kind] and not fresh_report["metrics"][kind]:
+            failures.append(f"MALFORMED fresh report: no {kind}, which the "
+                            f"baseline has")
+    pin_failures, matched = check_pins(baseline_report, fresh_report)
+    baseline = timing_metrics(baseline_report)
+    fresh = timing_metrics(fresh_report)
+    regressions, notes = compare(baseline, fresh, tolerance, min_abs_ms)
+    compared = len(set(baseline) & set(fresh))
+    return failures + pin_failures + regressions, notes, compared, matched
+
+
+def load(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def run_pair(
     baseline_path: str, fresh_path: str, tolerance: float, min_abs_ms: float
 ) -> int:
-    with open(baseline_path, encoding="utf-8") as fh:
-        baseline_report = json.load(fh)
-    with open(fresh_path, encoding="utf-8") as fh:
-        fresh_report = json.load(fh)
-    baseline = timing_metrics(baseline_report)
-    fresh = timing_metrics(fresh_report)
-    if not baseline:
-        print(f"warning: no timing metrics in baseline {baseline_path}")
-    regressions, notes = compare(baseline, fresh, tolerance, min_abs_ms)
+    failures, notes, compared, matched = judge(
+        load(baseline_path), load(fresh_path), tolerance, min_abs_ms)
     label = f"{baseline_path} vs {fresh_path}"
     for note in notes:
         print(f"  note: {note}")
-    for regression in regressions:
-        print(f"  {regression}")
-    compared = len(set(baseline) & set(fresh))
-    if regressions:
-        print(f"FAIL {label}: {len(regressions)} regression(s) "
-              f"across {compared} compared metric(s)")
+    for failure in failures:
+        print(f"  {failure}")
+    if failures:
+        print(f"FAIL {label}: {len(failures)} failure(s); {compared} timing "
+              f"metric(s) compared, {matched} pinned gauge(s) on their pins")
         return 1
-    print(f"OK {label}: {compared} metric(s) within "
-          f"+{tolerance * 100:.0f}% of baseline")
+    print(f"OK {label}: {compared} timing metric(s) within "
+          f"+{tolerance * 100:.0f}% of baseline, {matched} pinned gauge(s) "
+          f"on their pins")
     return 0
 
 
 def refresh_baseline(baseline_path: str, fresh_path: str) -> int:
-    """Copies the fresh report over the baseline after validating it parses.
+    """Copies the fresh report over the baseline after validating it.
 
-    The fresh report must be valid JSON with at least one timing metric —
-    overwriting a baseline with an empty or truncated report would disarm
-    the gate silently.
+    Overwriting a baseline with a malformed or empty report would disarm
+    the gate silently, so such a report is refused.
     """
-    with open(fresh_path, encoding="utf-8") as fh:
-        fresh_report = json.load(fh)
-    fresh = timing_metrics(fresh_report)
-    if not fresh:
-        print(f"refusing to refresh {baseline_path}: "
-              f"no timing metrics in {fresh_path}")
+    fresh_report = load(fresh_path)
+    problems = malformed(fresh_report)
+    if problems:
+        print(f"refusing to refresh {baseline_path} from {fresh_path}: "
+              f"{'; '.join(problems)}")
         return 1
     shutil.copyfile(fresh_path, baseline_path)
+    pinned = sum(len(v) for v in pinned_gauges(fresh_report).values())
     print(f"refreshed {baseline_path} from {fresh_path} "
-          f"({len(fresh)} timing metric(s))")
+          f"({len(timing_metrics(fresh_report))} timing metric(s), "
+          f"{pinned} pinned gauge(s))")
     return 0
 
 
 def selftest() -> int:
     """Unit-test the gate logic, including the synthetic-2x-slowdown case."""
-    base = {
-        "metrics": {
-            "gauges": {
-                "a5/flat_ms/alg1_sync_n512": 10.0,
-                "a5/speedup/alg1_sync_n512": 2.0,  # not a timing gauge
-            },
-            "histograms": {
-                "phase_ms/build/total": {"count": 8, "p50": 40.0},
-                "build/nodes": {"count": 8, "p50": 512.0},  # not phase_ms
+
+    def report(bench: str, gauges: dict, histograms: dict = None) -> dict:
+        return {
+            "schema": SCHEMA,
+            "bench": bench,
+            "sections": [{"title": "", "tables": [
+                {"headers": ["n"], "rows": [["1"]]}], "notes": []}],
+            "metrics": {
+                "counters": {},
+                "gauges": gauges,
+                "histograms": {
+                    name: {"count": 8, "min": p50, "max": p50, "mean": p50,
+                           "p50": p50, "p95": p50}
+                    for name, p50 in (histograms or {}).items()
+                },
             },
         }
-    }
+
+    base = report(
+        "bench_a5_runtime",
+        {
+            "a5/flat_ms/alg1_sync_n512": 10.0,
+            "a5/speedup/alg1_sync_n512": 2.0,  # not a timing gauge
+            "a5/identical/alg1_sync_n512": 1.0,
+        },
+        {"phase_ms/build/total": 40.0, "build/nodes": 512.0},  # not phase_ms
+    )
 
     def fresh_with(gauge_ms: float, phase_p50: float) -> dict:
-        return {
-            "metrics": {
-                "gauges": {"a5/flat_ms/alg1_sync_n512": gauge_ms},
-                "histograms": {
-                    "phase_ms/build/total": {"count": 8, "p50": phase_p50}
-                },
-            }
-        }
+        return report(
+            "bench_a5_runtime",
+            {"a5/flat_ms/alg1_sync_n512": gauge_ms,
+             "a5/identical/alg1_sync_n512": 1.0},
+            {"phase_ms/build/total": phase_p50},
+        )
 
-    failures: List[str] = []
+    cases: List[Tuple[str, bool]] = []
 
     def check(name: str, condition: bool) -> None:
-        if not condition:
-            failures.append(name)
+        cases.append((name, condition))
 
     tol, floor = 0.25, 1.0
+
+    def verdict(baseline: dict, fresh: dict) -> List[str]:
+        return judge(baseline, fresh, tol, floor)[0]
 
     # A 2x slowdown on either channel must fail the gate.
     regressions, _ = compare(
@@ -188,30 +342,19 @@ def selftest() -> int:
     check("phase p50 2x slowdown detected", len(regressions) == 1)
 
     # Identical and within-tolerance runs pass.
-    regressions, _ = compare(
-        timing_metrics(base), timing_metrics(fresh_with(10.0, 40.0)), tol, floor
-    )
-    check("identical run passes", not regressions)
-    regressions, _ = compare(
-        timing_metrics(base), timing_metrics(fresh_with(12.4, 49.9)), tol, floor
-    )
-    check("within-tolerance run passes", not regressions)
+    check("identical run passes", not verdict(base, fresh_with(10.0, 40.0)))
+    check("within-tolerance run passes",
+          not verdict(base, fresh_with(12.4, 49.9)))
 
     # Just over tolerance fails; the absolute floor forgives micro-jitter.
-    regressions, _ = compare(
-        timing_metrics(base), timing_metrics(fresh_with(12.6, 40.0)), tol, floor
-    )
-    check("over-tolerance gauge fails", len(regressions) == 1)
-    tiny_base = {
-        "metrics": {"gauges": {"a5/flat_ms/tiny": 0.01}, "histograms": {}}
-    }
-    tiny_fresh = {
-        "metrics": {"gauges": {"a5/flat_ms/tiny": 0.05}, "histograms": {}}
-    }
-    regressions, _ = compare(
-        timing_metrics(tiny_base), timing_metrics(tiny_fresh), tol, floor
-    )
-    check("sub-ms jitter forgiven by absolute floor", not regressions)
+    check("over-tolerance gauge fails",
+          len(verdict(base, fresh_with(12.6, 40.0))) == 1)
+    tiny_base = report("bench_a5_runtime", {"a5/flat_ms/tiny": 0.01,
+                                            "a5/identical/tiny": 1.0})
+    tiny_fresh = report("bench_a5_runtime", {"a5/flat_ms/tiny": 0.05,
+                                             "a5/identical/tiny": 1.0})
+    check("sub-ms jitter forgiven by absolute floor",
+          not verdict(tiny_base, tiny_fresh))
 
     # Non-timing metrics never participate; add/remove is a note, not a fail.
     check(
@@ -219,41 +362,84 @@ def selftest() -> int:
         set(timing_metrics(base))
         == {"a5/flat_ms/alg1_sync_n512", "phase_ms/build/total#p50"},
     )
-    only_new = {
-        "metrics": {"gauges": {"a5/flat_ms/brand_new": 5.0}, "histograms": {}}
-    }
     regressions, notes = compare(
-        timing_metrics(base), timing_metrics(only_new), tol, floor
-    )
+        timing_metrics(base),
+        timing_metrics(report("bench_a5_runtime",
+                              {"a5/flat_ms/brand_new": 5.0})),
+        tol, floor)
     check("disjoint metric sets only produce notes", not regressions
           and len(notes) == 3)
+
+    # Pinned gauges are compared exactly, against the baseline or a constant.
+    counts = report("bench_a6_faults", {
+        "a6/msgs/alg2_drop10": 10445.0,
+        "a6/retransmits/alg2_drop10": 560.0,
+        "a6/completion_time/alg2_drop10": 252.0,
+        "a6/recovery_msgs/drop10": 30.0,
+        "a6b/recovered/drop10": 1.0,
+    })
+    failed, _, _, matched = judge(counts, copy.deepcopy(counts), tol, floor)
+    check("equal pins pass and are counted", not failed and matched == 5)
+    off_by_one = copy.deepcopy(counts)
+    off_by_one["metrics"]["gauges"]["a6/msgs/alg2_drop10"] = 10446.0
+    check("a count pin off by one fails",
+          len(verdict(counts, off_by_one)) == 1)
+    diverged = fresh_with(10.0, 40.0)
+    diverged["metrics"]["gauges"]["a5/identical/alg1_sync_n512"] = 0.0
+    check("an identity gauge reading 0 fails",
+          len(verdict(base, diverged)) == 1)
+    no_family = copy.deepcopy(counts)
+    del no_family["metrics"]["gauges"]["a6b/recovered/drop10"]
+    check("a pinned family missing from the fresh report fails",
+          any("no gauge in the fresh report" in f
+              for f in verdict(counts, no_family)))
+    one_sided = copy.deepcopy(counts)
+    one_sided["metrics"]["gauges"]["a6/msgs/alg2_drop20"] = 12533.0
+    check("a baseline-pinned name in the fresh report only fails",
+          len(verdict(counts, one_sided)) == 1)
+    check("a baseline-pinned name in the baseline only fails",
+          len(verdict(one_sided, counts)) == 1)
+
+    # Both reports must be well-formed wcds-bench/v1 documents.
+    wrong_schema = dict(fresh_with(10.0, 40.0), schema="wcds-bench/v0")
+    check("a non-wcds-bench/v1 report is refused",
+          verdict(base, wrong_schema) == [
+              "MALFORMED fresh report: not a wcds-bench/v1 document"])
+    with_counters = copy.deepcopy(base)
+    with_counters["metrics"]["counters"]["sim/transmissions"] = 489
+    check("a metric kind the baseline has may not be empty",
+          len(verdict(with_counters, fresh_with(10.0, 40.0))) == 1)
 
     # --refresh-baselines copies the fresh report verbatim and refuses
     # reports the gate could not act on.
     with tempfile.TemporaryDirectory() as tmp:
         base_path = os.path.join(tmp, "baseline.json")
         fresh_path = os.path.join(tmp, "fresh.json")
-        with open(base_path, "w", encoding="utf-8") as fh:
-            json.dump(base, fh)
-        with open(fresh_path, "w", encoding="utf-8") as fh:
-            json.dump(fresh_with(20.0, 40.0), fh)
-        check("refresh succeeds", refresh_baseline(base_path, fresh_path) == 0)
-        with open(base_path, encoding="utf-8") as fh:
-            check("refresh copies the fresh report verbatim",
-                  json.load(fh) == fresh_with(20.0, 40.0))
-        empty_path = os.path.join(tmp, "empty.json")
-        with open(empty_path, "w", encoding="utf-8") as fh:
-            json.dump({"metrics": {}}, fh)
-        check("refresh refuses a metric-free report",
-              refresh_baseline(base_path, empty_path) == 1)
-        with open(base_path, encoding="utf-8") as fh:
-            check("refused refresh leaves the baseline untouched",
-                  json.load(fh) == fresh_with(20.0, 40.0))
 
+        def write(path: str, doc: dict) -> None:
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+
+        write(base_path, base)
+        write(fresh_path, fresh_with(20.0, 40.0))
+        check("refresh succeeds", refresh_baseline(base_path, fresh_path) == 0)
+        check("refresh copies the fresh report verbatim",
+              load(base_path) == fresh_with(20.0, 40.0))
+        refused = os.path.join(tmp, "refused.json")
+        write(refused, report("bench_a5_runtime", {"a5/speedup/x": 2.0}))
+        check("refresh refuses a report with neither timing nor pinned gauges",
+              refresh_baseline(base_path, refused) == 1)
+        write(refused, {"metrics": {}})
+        check("refresh refuses a malformed report",
+              refresh_baseline(base_path, refused) == 1)
+        check("refused refreshes leave the baseline untouched",
+              load(base_path) == fresh_with(20.0, 40.0))
+
+    failures = [name for name, ok in cases if not ok]
     for failure in failures:
         print(f"selftest FAILED: {failure}")
     if not failures:
-        print("selftest OK: 12 cases")
+        print(f"selftest OK: {len(cases)} cases")
     return 1 if failures else 0
 
 

@@ -11,10 +11,10 @@
 #   tools/run_checks.sh clang      # clang build with -Wthread-safety + ctest
 #   tools/run_checks.sh perf-reports       # build the gated benches, write
 #                                          # BENCH_<id>.json reports
-#   tools/run_checks.sh perf-gate          # compare those reports with
-#                                          # bench/baselines/
-#   tools/run_checks.sh refresh-baselines  # re-run the gated benches plus A6
-#                                          # and rewrite bench/baselines/
+#   tools/run_checks.sh perf-gate          # judge those reports against
+#                                          # bench/baselines/ (pins + timing)
+#   tools/run_checks.sh refresh-baselines  # re-run the gated benches and
+#                                          # rewrite bench/baselines/
 #
 # Stages that need tools the host may lack (tidy: clang-tidy, clang: clang++)
 # normally SKIP when the tool is missing; set WCDS_REQUIRE_TOOLS=1 (CI does)
@@ -32,21 +32,21 @@ FAILURES=()
 
 banner() { printf '\n==== %s ====\n' "$*"; }
 
-# The benches the perf gate compares with bench/baselines/, one
-# "<binary>:<WCDS_THREADS>" entry each ("-" leaves WCDS_THREADS unset).
-# bench_<id>_* writes BENCH_<id>.json, compared with
-# bench/baselines/BENCH_<id>.json.  checks.yml's perf-gate job and
-# refresh-baselines.yml both run this one list.
+# The benches the gate judges, one "<binary>:<WCDS_THREADS>" entry each
+# ("-" leaves WCDS_THREADS unset).  bench_<id>_* writes BENCH_<id>.json,
+# which tools/compare_bench.py judges against bench/baselines/BENCH_<id>.json:
+# its pinned gauges exactly, its timings within a tolerance.  This is the
+# only bench list; checks.yml's perf-gate job and refresh-baselines.yml both
+# run it.
 PERF_BENCHES=(
   bench_a5_runtime:2
   bench_t4_complexity:-
+  bench_a6_faults:-
+  bench_t6_maintenance:-
   bench_a7_serving:2
   bench_a8_sharding:2
   bench_a9_resilience:2
 )
-# A6's message counts are gated exactly by checks.yml's build-and-test job;
-# a refresh rewrites its baseline together with the others.
-REFRESH_BENCHES=("${PERF_BENCHES[@]}" bench_a6_faults:-)
 
 # report_id bench_a5_runtime:2 -> a5
 report_id() {
@@ -175,9 +175,9 @@ stage_perf_gate() {
 }
 
 stage_refresh_baselines() {
-  bench_reports "${REFRESH_BENCHES[@]}"
+  bench_reports "${PERF_BENCHES[@]}"
   banner "compare_bench.py --refresh-baselines"
-  compare_baselines --refresh-baselines "${REFRESH_BENCHES[@]}"
+  compare_baselines --refresh-baselines "${PERF_BENCHES[@]}"
 }
 
 run_stage() {
