@@ -17,15 +17,17 @@ What is judged (everything else in the reports is ignored):
     metric or pinned gauge for the gate to act on.  The fresh report may
     not leave empty a metric kind that the baseline has.
 
-  * Pinned gauges (PINNED_GAUGES, keyed by the report's ``bench`` name).
-    Message counts, deliverability, identity and zero-violation flags are
-    functions of the seeds alone, so they are compared exactly on any
-    host.  A family is pinned either to BASELINE (each value equals the
-    committed baseline's) or to a constant.  The gate fails when a pinned
-    value differs from its pin, when a pinned name of the baseline is
-    missing from the fresh report, when a BASELINE-pinned name is new in
-    the fresh report (there is nothing to compare it with), or when a
-    pinned family has no gauge in the fresh report.
+  * Pinned gauges (PINNED_GAUGES, keyed by gauge-name prefix; each prefix
+    belongs to one bench).  Message counts, deliverability, identity and
+    zero-violation flags are functions of the seeds alone, so they are
+    compared exactly on any host.  A family is pinned either to BASELINE
+    (each value equals the committed baseline's) or to a constant.  The
+    committed baselines carry every pinned gauge, so the baseline names
+    the cells a fresh report must have.  The gate fails when a pinned value
+    differs from its pin, when a pinned name of the baseline is missing
+    from the fresh report (a dropped cell or family), or when a
+    BASELINE-pinned name is new in the fresh report (there is nothing to
+    compare it with).  The two reports must also name the same bench.
 
   * Timing metrics: gauges whose name matches a timing prefix
     (``a5/flat_ms/``, ``a6/recovery_ms/`` ... — see TIMING_GAUGE_PREFIXES)
@@ -39,8 +41,8 @@ What is judged (everything else in the reports is ignored):
 ``--refresh-baselines`` flips the tool from gate to maintenance mode: each
 fresh report is copied over its baseline path verbatim (the full report, so
 future comparisons see exactly what a rerun would produce).  A report that
-is malformed or has neither timing metrics nor pinned gauges is refused —
-it would disarm the gate silently.
+is malformed, has neither timing metrics nor pinned gauges (it would disarm
+the gate silently) or has a gauge off its constant pin is refused.
 
 Usage:
   compare_bench.py --pair baseline.json fresh.json [--pair ...]
@@ -78,36 +80,32 @@ TIMING_GAUGE_PREFIXES = (
 PHASE_HISTOGRAM_PREFIX = "phase_ms/"
 
 BASELINE = "baseline"
-PINNED_GAUGES: Dict[str, Dict[str, object]] = {
-    # sim::Runtime equals the map-queue oracle in every (alg, delays, n) cell.
-    "bench_a5_runtime": {"a5/identical/": 1.0},
-    # Theorem 12's message bound, measured on the hardened transport, and
-    # MIS-maintenance recovery under loss.
-    "bench_a6_faults": {
-        "a6/msgs/": BASELINE,
-        "a6/retransmits/": BASELINE,
-        "a6/completion_time/": BASELINE,
-        "a6/recovery_msgs/": BASELINE,
-        "a6b/recovered/": 1.0,
-    },
-    # Serve outcomes are pure functions of (request, index) at any thread
-    # count.
-    "bench_a7_serving": {"a7/deliverability/": BASELINE, "a7/identical/": 1.0},
-    # Sharded runs at 2/4/8 threads equal the serial run.
-    "bench_a8_sharding": {"a8/identical/": 1.0},
-    # (k,m)-resilient backbones survive every crash with zero repair.
-    "bench_a9_resilience": {
-        "a9/survived/": 1.0,
-        "a9/resilient_repair_events/": 0.0,
-        "a9/plain_repair_events/": BASELINE,
-    },
-    # Section 4.2 maintenance: audit-clean after every event and step, and a
-    # valid MIS after every maintenance-protocol update.
-    "bench_t6_maintenance": {
-        "t6/violations/": 0.0,
-        "t6b/violations/": 0.0,
-        "t6c/valid/": 1.0,
-    },
+PINNED_GAUGES: Dict[str, object] = {
+    # A5: sim::Runtime equals the map-queue oracle in every (alg, delays, n)
+    # cell.
+    "a5/identical/": 1.0,
+    # A6: Theorem 12's message bound, measured on the hardened transport,
+    # and MIS-maintenance recovery under loss.
+    "a6/msgs/": BASELINE,
+    "a6/retransmits/": BASELINE,
+    "a6/completion_time/": BASELINE,
+    "a6/recovery_msgs/": BASELINE,
+    "a6b/recovered/": 1.0,
+    # A7: serve outcomes are pure functions of (request, index) at any
+    # thread count.
+    "a7/deliverability/": BASELINE,
+    "a7/identical/": 1.0,
+    # A8: sharded runs at 2/4/8 threads equal the serial run.
+    "a8/identical/": 1.0,
+    # A9: (k,m)-resilient backbones survive every crash with zero repair.
+    "a9/survived/": 1.0,
+    "a9/resilient_repair_events/": 0.0,
+    "a9/plain_repair_events/": BASELINE,
+    # T6: Section 4.2 maintenance is audit-clean after every event and step,
+    # and the MIS is valid after every maintenance-protocol update.
+    "t6/violations/": 0.0,
+    "t6b/violations/": 0.0,
+    "t6c/valid/": 1.0,
 }
 
 
@@ -124,13 +122,19 @@ def timing_metrics(report: dict) -> Dict[str, float]:
     return out
 
 
-def pinned_gauges(report: dict) -> Dict[str, Dict[str, float]]:
-    """family -> {name: value} for every pinned family of the report's bench."""
-    gauges = report["metrics"]["gauges"]
-    return {
-        family: {k: float(v) for k, v in gauges.items() if k.startswith(family)}
-        for family in PINNED_GAUGES.get(report["bench"], {})
-    }
+def pin_of(name: str) -> object:
+    """The pin of gauge `name`, or None when it is not pinned."""
+    for prefix, pin in PINNED_GAUGES.items():
+        if name.startswith(prefix):
+            return pin
+    return None
+
+
+def pinned_gauges(report: dict) -> Dict[str, float]:
+    """name -> value for every pinned gauge of the report."""
+    return {name: float(value)
+            for name, value in report["metrics"]["gauges"].items()
+            if pin_of(name) is not None}
 
 
 def malformed(report: dict) -> List[str]:
@@ -151,13 +155,15 @@ def malformed(report: dict) -> List[str]:
     metrics = report.get("metrics") or {}
     if not all(isinstance(metrics.get(kind), dict) for kind in METRIC_KINDS):
         return problems + ["metrics lack counters, gauges or histograms"]
+    for kind in ("counters", "gauges"):
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   for v in metrics[kind].values()):
+            problems.append(f"a non-numeric value among the {kind}")
     for name, hist in metrics["histograms"].items():
         if not HISTOGRAM_KEYS <= hist.keys():
             problems.append(f"histogram {name} lacks one of "
                             f"{', '.join(sorted(HISTOGRAM_KEYS))}")
-    if not problems and not timing_metrics(report) and not any(
-        pinned_gauges(report).values()
-    ):
+    if not (problems or timing_metrics(report) or pinned_gauges(report)):
         problems.append("neither timing metrics nor pinned gauges")
     return problems
 
@@ -166,24 +172,20 @@ def check_pins(baseline: dict, fresh: dict) -> Tuple[List[str], int]:
     """Returns (failures, pinned gauges that equal their pin)."""
     failures: List[str] = []
     matched = 0
-    base_families = pinned_gauges(baseline)
-    for family, fresh_values in pinned_gauges(fresh).items():
-        pin = PINNED_GAUGES[fresh["bench"]][family]
-        base_values = base_families.get(family, {})
-        if not fresh_values:
-            failures.append(f"PINNED {family}*: no gauge in the fresh report")
-        for name in sorted(set(base_values) - set(fresh_values)):
-            failures.append(f"PINNED {name}: in the baseline only")
-        for name, value in sorted(fresh_values.items()):
-            if pin == BASELINE and name not in base_values:
-                failures.append(f"PINNED {name}: in the fresh report only")
-                continue
-            want = base_values[name] if pin == BASELINE else float(pin)
-            if value == want:
-                matched += 1
-            else:
-                failures.append(f"PINNED {name}: {value:g}, pinned to "
-                                f"{want:g}")
+    base_values = pinned_gauges(baseline)
+    fresh_values = pinned_gauges(fresh)
+    for name in sorted(set(base_values) - set(fresh_values)):
+        failures.append(f"PINNED {name}: in the baseline only")
+    for name, value in sorted(fresh_values.items()):
+        pin = pin_of(name)
+        if pin == BASELINE and name not in base_values:
+            failures.append(f"PINNED {name}: in the fresh report only")
+            continue
+        want = base_values[name] if pin == BASELINE else float(pin)
+        if value == want:
+            matched += 1
+        else:
+            failures.append(f"PINNED {name}: {value:g}, pinned to {want:g}")
     return failures, matched
 
 
@@ -226,6 +228,10 @@ def judge(
                  for p in malformed(fresh_report)]
     if failures:
         return failures, [], 0, 0
+    if fresh_report["bench"] != baseline_report["bench"]:
+        failures.append(f"MALFORMED fresh report: bench "
+                        f"{fresh_report['bench']}, the baseline's is "
+                        f"{baseline_report['bench']}")
     for kind in METRIC_KINDS:
         if baseline_report["metrics"][kind] and not fresh_report["metrics"][kind]:
             failures.append(f"MALFORMED fresh report: no {kind}, which the "
@@ -267,16 +273,18 @@ def refresh_baseline(baseline_path: str, fresh_path: str) -> int:
     """Copies the fresh report over the baseline after validating it.
 
     Overwriting a baseline with a malformed or empty report would disarm
-    the gate silently, so such a report is refused.
+    the gate silently, and one whose gauges break a constant pin would
+    commit the fault, so such reports are refused.
     """
     fresh_report = load(fresh_path)
-    problems = malformed(fresh_report)
+    problems = malformed(fresh_report) or check_pins(fresh_report,
+                                                     fresh_report)[0]
     if problems:
         print(f"refusing to refresh {baseline_path} from {fresh_path}: "
               f"{'; '.join(problems)}")
         return 1
     shutil.copyfile(fresh_path, baseline_path)
-    pinned = sum(len(v) for v in pinned_gauges(fresh_report).values())
+    pinned = len(pinned_gauges(fresh_report))
     print(f"refreshed {baseline_path} from {fresh_path} "
           f"({len(timing_metrics(fresh_report))} timing metric(s), "
           f"{pinned} pinned gauge(s))")
@@ -391,8 +399,11 @@ def selftest() -> int:
     no_family = copy.deepcopy(counts)
     del no_family["metrics"]["gauges"]["a6b/recovered/drop10"]
     check("a pinned family missing from the fresh report fails",
-          any("no gauge in the fresh report" in f
-              for f in verdict(counts, no_family)))
+          verdict(counts, no_family) == [
+              "PINNED a6b/recovered/drop10: in the baseline only"])
+    renamed = dict(copy.deepcopy(counts), bench="bench_a6_renamed")
+    check("a report of another bench than the baseline's fails",
+          len(verdict(counts, renamed)) == 1)
     one_sided = copy.deepcopy(counts)
     one_sided["metrics"]["gauges"]["a6/msgs/alg2_drop20"] = 12533.0
     check("a baseline-pinned name in the fresh report only fails",
@@ -407,6 +418,11 @@ def selftest() -> int:
               "MALFORMED fresh report: not a wcds-bench/v1 document"])
     with_counters = copy.deepcopy(base)
     with_counters["metrics"]["counters"]["sim/transmissions"] = 489
+    textual = fresh_with(10.0, 40.0)
+    textual["metrics"]["gauges"]["a5/flat_ms/alg1_sync_n512"] = "10.0"
+    check("a non-numeric gauge is refused",
+          verdict(base, textual) == [
+              "MALFORMED fresh report: a non-numeric value among the gauges"])
     check("a metric kind the baseline has may not be empty",
           len(verdict(with_counters, fresh_with(10.0, 40.0))) == 1)
 
@@ -431,6 +447,9 @@ def selftest() -> int:
               refresh_baseline(base_path, refused) == 1)
         write(refused, {"metrics": {}})
         check("refresh refuses a malformed report",
+              refresh_baseline(base_path, refused) == 1)
+        write(refused, diverged)
+        check("refresh refuses a report that breaks a constant pin",
               refresh_baseline(base_path, refused) == 1)
         check("refused refreshes leave the baseline untouched",
               load(base_path) == fresh_with(20.0, 40.0))
