@@ -1,8 +1,8 @@
 // Experiment A5: simulator hot-path performance.
 //
 // A5a times both distributed algorithms under both delay regimes on the
-// production sim::Runtime (pooled broadcast payloads + two-bucket calendar /
-// binary heap) and on sim::ReferenceRuntime, the std::map queue it replaced,
+// production sim::Runtime (pooled broadcast payloads + one ring of time
+// buckets) and on sim::ReferenceRuntime, the std::map queue it replaced,
 // kept as a test-only oracle (tests/oracle/, docs/PERFORMANCE.md).  Each
 // column constructs its runtime over the same node factory and runs it to
 // quiescence.  Both deliver in identical (time, seq) order —
@@ -184,10 +184,11 @@ void print_tables() {
   par.print(std::cout);
   std::cout << "\nExpected shape: flat-queue speedup grows with n (the map "
                "pays a per-delivery\nallocation plus O(log q) pointer "
-               "chasing; the calendar is O(1) amortized and\nthe heap works "
-               "on a contiguous 24-byte-record array).  A5b speedup tracks\n"
-               "WCDS_THREADS on multi-core hosts and is ~1.0x single-core.  "
-               "Both 'identical'\ncolumns must read yes on any host.\n";
+               "chasing; the bucket ring is O(1) per event\nunder either "
+               "delay regime and reads contiguous 16-byte records).  A5b\n"
+               "speedup tracks WCDS_THREADS on multi-core hosts and is ~1.0x "
+               "single-core.\nBoth 'identical' columns must read yes on any "
+               "host.\n";
 
   obs::set_global_recorder(ambient);
   // With the recorder back in effect, fold the wall times into the metrics

@@ -1,46 +1,19 @@
 #include "fault/injector.h"
 
 #include <algorithm>
-
-#include "check/check.h"
+#include <utility>
 
 namespace wcds::fault {
 
 Injector::Injector(Plan plan, std::size_t node_count)
-    : plan_(std::move(plan)), rng_(plan_.seed) {
+    : plan_(std::move(plan)),
+      rng_(plan_.seed),
+      crashes_(plan_.crashes, node_count) {
   plan_.require_valid_probabilities();
   std::sort(plan_.link_overrides.begin(), plan_.link_overrides.end(),
             [](const LinkOverride& a, const LinkOverride& b) {
               return a.link_slot < b.link_slot;
             });
-  if (!plan_.crashes.empty()) {
-    std::sort(plan_.crashes.begin(), plan_.crashes.end(),
-              [](const CrashWindow& a, const CrashWindow& b) {
-                return a.node != b.node ? a.node < b.node
-                                        : a.down_from < b.down_from;
-              });
-    window_begin_.assign(node_count + 1, 0);
-    for (const CrashWindow& window : plan_.crashes) {
-      WCDS_REQUIRE(window.node < node_count,
-                   "fault::Injector: crash window names node "
-                       << window.node << " outside the topology");
-      ++window_begin_[window.node + 1];
-    }
-    for (std::size_t u = 0; u < node_count; ++u) {
-      window_begin_[u + 1] += window_begin_[u];
-    }
-  }
-}
-
-bool Injector::down(NodeId node, sim::SimTime at) const {
-  if (window_begin_.empty()) return false;
-  const std::uint32_t begin = window_begin_[node];
-  const std::uint32_t end = window_begin_[node + 1];
-  for (std::uint32_t i = begin; i < end; ++i) {
-    const CrashWindow& window = plan_.crashes[i];
-    if (at >= window.down_from && at < window.up_at) return true;
-  }
-  return false;
 }
 
 const LinkOverride* Injector::override_for(std::size_t link_slot) const {

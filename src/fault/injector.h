@@ -4,8 +4,8 @@
 // Every probabilistic decision consumes exactly one draw from a private
 // Xoshiro256** stream seeded by the plan, in the runtime's documented call
 // order, so a (plan, topology, protocol) triple replays the same faults on
-// every run.  Crash windows are indexed per node at construction; the
-// common no-crash case stays O(1) per query.
+// every run.  Crash windows are indexed per node at construction
+// (fault::CrashIndex); the common no-crash case stays O(1) per query.
 //
 // The injector also counts what it did (`fault/dropped`,
 // `fault/duplicated`, `fault/suppressed_sends`, `fault/blocked_receives`)
@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "fault/plan.h"
 #include "geom/rng.h"
@@ -50,9 +49,6 @@ class Injector final : public sim::FaultHook {
   [[nodiscard]] bool drop_copy(std::size_t link_slot) override;
   [[nodiscard]] bool duplicate_copy(std::size_t link_slot) override;
   [[nodiscard]] sim::SimTime extra_delay() override;
-  [[nodiscard]] sim::SimTime max_extra_delay() const override {
-    return plan_.max_jitter;
-  }
   [[nodiscard]] bool receive_blocked(NodeId recipient,
                                      sim::SimTime at) override;
 
@@ -60,7 +56,9 @@ class Injector final : public sim::FaultHook {
   [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
 
   // True while `node`'s radio is inside one of its crash windows.
-  [[nodiscard]] bool down(NodeId node, sim::SimTime at) const;
+  [[nodiscard]] bool down(NodeId node, sim::SimTime at) const {
+    return crashes_.down(node, at);
+  }
 
   // Fold `counters` into `recorder` (null is a no-op).  A sharded run sums
   // its per-shard injectors' counters and records the total once.
@@ -71,12 +69,10 @@ class Injector final : public sim::FaultHook {
   // The link override active for `link_slot`, or null.
   [[nodiscard]] const LinkOverride* override_for(std::size_t link_slot) const;
 
-  Plan plan_;  // crashes re-sorted by node; link_overrides by slot
+  Plan plan_;  // link_overrides re-sorted by slot
   geom::Xoshiro256ss rng_;
   Counters counters_;
-  // CSR index over the sorted crash windows: node u's windows occupy
-  // [window_begin_[u], window_begin_[u + 1]).  Empty when the plan has none.
-  std::vector<std::uint32_t> window_begin_;
+  CrashIndex crashes_;
 };
 
 }  // namespace wcds::fault

@@ -1,8 +1,37 @@
 #include "fault/plan.h"
 
+#include <algorithm>
+
 #include "check/check.h"
 
 namespace wcds::fault {
+
+CrashIndex::CrashIndex(std::span<const CrashWindow> windows,
+                       std::size_t node_count)
+    : windows_(windows.begin(), windows.end()) {
+  if (windows_.empty()) return;
+  std::sort(windows_.begin(), windows_.end(),
+            [](const CrashWindow& a, const CrashWindow& b) {
+              return a.node != b.node ? a.node < b.node
+                                      : a.down_from < b.down_from;
+            });
+  begin_.assign(node_count + 1, 0);
+  for (const CrashWindow& window : windows_) {
+    WCDS_REQUIRE(window.node < node_count,
+                 "fault::CrashIndex: crash window names node "
+                     << window.node << " outside the topology");
+    ++begin_[window.node + 1];
+  }
+  for (std::size_t u = 0; u < node_count; ++u) begin_[u + 1] += begin_[u];
+}
+
+bool CrashIndex::down(NodeId node, sim::SimTime at) const {
+  if (begin_.empty()) return false;
+  for (std::uint32_t i = begin_[node]; i < begin_[node + 1]; ++i) {
+    if (at >= windows_[i].down_from && at < windows_[i].up_at) return true;
+  }
+  return false;
+}
 
 Plan Plan::lossy(double drop, std::uint64_t seed) {
   Plan plan;

@@ -31,6 +31,27 @@ struct CrashWindow {
   friend bool operator==(const CrashWindow&, const CrashWindow&) = default;
 };
 
+// Per-node index over crash windows, answering "is this radio off at t?"
+// by scanning only that node's windows (a CSR over the windows sorted by
+// node).  fault::Injector and service::ServingEngine both read a plan's
+// crashes through it.
+class CrashIndex {
+ public:
+  CrashIndex() = default;
+  // Throws std::invalid_argument when a window names a node at or above
+  // `node_count`.
+  CrashIndex(std::span<const CrashWindow> windows, std::size_t node_count);
+
+  // True while `node`'s radio is inside one of its windows.
+  [[nodiscard]] bool down(NodeId node, sim::SimTime at) const;
+
+ private:
+  std::vector<CrashWindow> windows_;  // sorted by (node, down_from)
+  // Node u's windows occupy [begin_[u], begin_[u + 1]); empty when there
+  // are no windows.
+  std::vector<std::uint32_t> begin_;
+};
+
 // Per-directed-link probability override; `link_slot` is the sender's CSR
 // adjacency slot for the recipient (graph::Graph::edge_slot).
 struct LinkOverride {

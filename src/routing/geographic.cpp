@@ -4,16 +4,16 @@
 
 namespace wcds::routing {
 
-GeoRoute greedy_geographic_route(const graph::Graph& g,
-                                 std::span<const geom::Point> points,
-                                 NodeId src, NodeId dst) {
+Route greedy_geographic_route(const graph::Graph& g,
+                              std::span<const geom::Point> points, NodeId src,
+                              NodeId dst) {
   if (points.size() != g.node_count()) {
     throw std::invalid_argument("greedy_geographic_route: size mismatch");
   }
   if (src >= g.node_count() || dst >= g.node_count()) {
     throw std::out_of_range("greedy_geographic_route: endpoint out of range");
   }
-  GeoRoute route;
+  Route route;
   NodeId at = src;
   route.path.push_back(at);
   double here = geom::squared_distance(points[at], points[dst]);

@@ -12,8 +12,6 @@
 #pragma once
 
 #include <span>
-#include <utility>
-#include <vector>
 
 #include "geom/point.h"
 #include "graph/graph.h"
@@ -22,19 +20,10 @@
 
 namespace wcds::routing {
 
-struct GeoRoute {
-  bool delivered = false;
-  bool stuck = false;  // failed in a local minimum (void)
-  std::vector<NodeId> path;
-
-  [[nodiscard]] std::size_t hops() const {
-    return path.empty() ? 0 : path.size() - 1;
-  }
-};
-
 // Greedy forwarding from src toward dst over g (any connected spanning
-// subgraph of the UDG works: the UDG itself, GG, or RNG).
-[[nodiscard]] GeoRoute greedy_geographic_route(
+// subgraph of the UDG works: the UDG itself, GG, or RNG).  A route that
+// ends in a local minimum (a void) comes back with `stuck` set.
+[[nodiscard]] Route greedy_geographic_route(
     const graph::Graph& g, std::span<const geom::Point> points, NodeId src,
     NodeId dst);
 
@@ -47,12 +36,7 @@ class GeographicRouter final : public Router {
       : g_(g), points_(points) {}
 
   [[nodiscard]] Route route(NodeId src, NodeId dst) const override {
-    GeoRoute geo = greedy_geographic_route(g_, points_, src, dst);
-    Route r;
-    r.path = std::move(geo.path);
-    r.delivered = geo.delivered;
-    r.stuck = geo.stuck;
-    return r;
+    return greedy_geographic_route(g_, points_, src, dst);
   }
 
   [[nodiscard]] Strategy strategy() const noexcept override {

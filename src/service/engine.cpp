@@ -108,19 +108,13 @@ ServingEngine::ServingEngine(const graph::Graph& g, core::Algorithm2View wcds,
     }
   }
 
-  // Fault plan digestion: crash windows per node, per-link drop table.
+  // Fault plan digestion: the crash-window index, per-link drop table.
   const fault::Plan* plan = opts_.faults;
   if (plan != nullptr) {
     plan->require_valid_probabilities();
     any_faults_ = plan->drop > 0.0 || !plan->crashes.empty() ||
                   !plan->link_overrides.empty();
-    if (!plan->crashes.empty()) {
-      crash_.resize(n);
-      for (const fault::CrashWindow& w : plan->crashes) {
-        WCDS_REQUIRE_BOUNDS(w.node < n, "ServingEngine: crash node range");
-        crash_[w.node].emplace_back(w.down_from, w.up_at);
-      }
-    }
+    crashes_ = fault::CrashIndex(plan->crashes, n);
     if (!plan->link_overrides.empty()) {
       link_drop_.assign(g.adjacency_slots(), plan->drop);
       for (const fault::LinkOverride& ov : plan->link_overrides) {
@@ -137,14 +131,6 @@ double ServingEngine::drop_probability(NodeId from, NodeId to) const {
   return opts_.faults->drop;
 }
 
-bool ServingEngine::crashed(NodeId node, std::uint32_t at_time) const {
-  if (crash_.empty()) return false;
-  for (const auto& [down, up] : crash_[node]) {
-    if (at_time >= down && at_time < up) return true;
-  }
-  return false;
-}
-
 bool ServingEngine::transmit(NodeId from, NodeId to, geom::Xoshiro256ss& rng,
                              std::uint32_t& now, Outcome& out) const {
   const std::uint32_t max_attempts = std::max(1u, opts_.max_attempts_per_hop);
@@ -154,7 +140,7 @@ bool ServingEngine::transmit(NodeId from, NodeId to, geom::Xoshiro256ss& rng,
     ++now;  // one transmission slot
     bool ok = true;
     if (any_faults_) {
-      if (crashed(from, now) || crashed(to, now)) {
+      if (crashes_.down(from, now) || crashes_.down(to, now)) {
         ok = false;
       } else {
         const double p = drop_probability(from, to);
@@ -409,24 +395,28 @@ BatchStats ServingEngine::serve_batch(std::span<const Request> requests,
     st.latency_p50 = nearest_rank(0.50);
     st.latency_p95 = nearest_rank(0.95);
   }
+  obs::Recorder* rec = obs::recorder_or_global(recorder);
   double stretch_sum = 0.0;
   if (opts_.stretch_sample_stride > 0) {
+    // One BFS per sample feeds both BatchStats and service/stretch.
     for (std::size_t i = 0; i < outcomes.size();
          i += opts_.stretch_sample_stride) {
       const Outcome& out = outcomes[i];
       if (out.delivered == 0 || out.provider == requests[i].src) continue;
       const auto d = graph::hop_distance(g_, requests[i].src, out.provider);
       if (d == 0) continue;
-      stretch_sum += static_cast<double>(out.hops) / static_cast<double>(d);
+      const double stretch =
+          static_cast<double>(out.hops) / static_cast<double>(d);
+      stretch_sum += stretch;
       ++st.stretch_samples;
+      if (rec != nullptr) rec->metrics().observe("service/stretch", stretch);
     }
     if (st.stretch_samples > 0) {
       st.mean_stretch = stretch_sum / static_cast<double>(st.stretch_samples);
     }
   }
 
-  if (obs::Recorder* rec = obs::recorder_or_global(recorder);
-      rec != nullptr) {
+  if (rec != nullptr) {
     rec->metrics().add("service/requests", st.requests);
     rec->metrics().add("service/delivered", st.delivered);
     rec->metrics().add("service/hops", st.hops);
@@ -434,18 +424,6 @@ BatchStats ServingEngine::serve_batch(std::span<const Request> requests,
     rec->metrics().add("service/bloom_fp", st.bloom_fp);
     for (const Outcome& out : outcomes) {
       rec->metrics().observe("service/latency", out.latency);
-    }
-    if (opts_.stretch_sample_stride > 0) {
-      for (std::size_t i = 0; i < outcomes.size();
-           i += opts_.stretch_sample_stride) {
-        const Outcome& out = outcomes[i];
-        if (out.delivered == 0 || out.provider == requests[i].src) continue;
-        const auto d = graph::hop_distance(g_, requests[i].src, out.provider);
-        if (d == 0) continue;
-        rec->metrics().observe("service/stretch",
-                               static_cast<double>(out.hops) /
-                                   static_cast<double>(d));
-      }
     }
   }
   return st;

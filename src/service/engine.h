@@ -185,7 +185,6 @@ class ServingEngine {
     return ((word >> (head_index % 64)) & 1u) != 0;
   }
   [[nodiscard]] double drop_probability(NodeId from, NodeId to) const;
-  [[nodiscard]] bool crashed(NodeId node, std::uint32_t at_time) const;
   // First provider of `service` in head's domain (smallest id), or
   // kInvalidNode.
   [[nodiscard]] NodeId domain_provider(std::uint32_t head_index,
@@ -209,8 +208,8 @@ class ServingEngine {
   // words, bit h set iff h is in advertisers_[s].
   std::vector<std::uint64_t> positive_;
   std::size_t positive_words_ = 0;
-  // Crash windows per node ([down_from, up_at) pairs); empty when no plan.
-  std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>> crash_;
+  // The plan's crash windows; empty when there is no plan.
+  fault::CrashIndex crashes_;
   // Per-directed-CSR-slot drop probability; empty unless the plan carries
   // link overrides.
   std::vector<double> link_drop_;

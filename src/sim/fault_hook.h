@@ -22,15 +22,11 @@
 //    implementation replays exactly.
 //  - receive_blocked() is consulted at delivery time; a blocked recipient's
 //    copy disappears (its radio is off) without touching RunStats.
-//
-// Queue choice (the contract implementations must keep): max_extra_delay()
-// is read once, when the runtime is constructed, and bounds every value
-// extra_delay() returns for the hook's lifetime.  A bound of 0 under unit
-// delays means every copy still lands exactly one step out, so the runtime
-// serves the run from its two-bucket calendar — lossy, duplicating and
-// crash plans included.  Any positive bound (jitter) selects the (time, seq)
-// min-heap.  Both queues pop in (time, seq) order, so the bound changes the
-// cost of a run, never its result.
+//  - A jittered copy joins the runtime's one event queue like any other, in
+//    (due time, creation) order, so jitter changes which order a run
+//    delivers in, never whether it replays.  A delay that would spread the
+//    queue over more than kQueueHorizon steps (sim/runtime.h) fails a
+//    check::CheckError.
 #pragma once
 
 #include <cstddef>
@@ -57,9 +53,6 @@ class FaultHook {
   // Additional delivery delay for one copy; may reorder a link (the
   // hardened transport restores FIFO, see src/fault/hardened.h).
   [[nodiscard]] virtual SimTime extra_delay() = 0;
-
-  // Upper bound on extra_delay(), fixed for the hook's lifetime.
-  [[nodiscard]] virtual SimTime max_extra_delay() const = 0;
 
   // The recipient's radio is off at `at`: the copy is lost on arrival.
   [[nodiscard]] virtual bool receive_blocked(NodeId recipient, SimTime at) = 0;

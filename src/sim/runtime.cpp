@@ -6,52 +6,6 @@
 #include "check/check.h"
 
 namespace wcds::sim {
-namespace {
-
-// Strict total order on (time, seq); seq is unique per event (deliveries and
-// timers share the counter, so the merged order is total).
-[[nodiscard]] bool earlier(const auto& a, const auto& b) {
-  return a.time != b.time ? a.time < b.time : a.seq < b.seq;
-}
-
-// Contiguous binary min-heap primitives shared by the delivery heap and the
-// timer heap (both keyed by `earlier`).
-template <typename T>
-void sift_up(std::vector<T>& heap) {
-  std::size_t i = heap.size() - 1;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!earlier(heap[i], heap[parent])) break;
-    std::swap(heap[i], heap[parent]);
-    i = parent;
-  }
-}
-
-template <typename T>
-T pop_min(std::vector<T>& heap) {
-  const T top = heap.front();
-  const T last = heap.back();
-  heap.pop_back();
-  const std::size_t n = heap.size();
-  if (n > 0) {
-    std::size_t i = 0;
-    while (true) {
-      const std::size_t left = 2 * i + 1;
-      if (left >= n) break;
-      std::size_t child = left;
-      if (left + 1 < n && earlier(heap[left + 1], heap[left])) {
-        child = left + 1;
-      }
-      if (!earlier(heap[child], last)) break;
-      heap[i] = heap[child];
-      i = child;
-    }
-    heap[i] = last;
-  }
-  return top;
-}
-
-}  // namespace
 
 Context::Context(Runtime& runtime, NodeId self, SimTime now)
     : runtime_(&runtime), graph_(runtime.graph_), self_(self), now_(now) {}
@@ -75,7 +29,12 @@ void Context::set_timer(SimTime delay, std::uint64_t token) {
   WCDS_CHECK(runtime_ != nullptr,
              "Context::set_timer: node " << self_ << " armed a timer under a "
                                          << "simulator without timers");
-  runtime_->schedule_timer(self_, now_ + delay, token);
+  // Checked before the addition, which a delay near 2^64 would wrap.
+  WCDS_CHECK(delay <= kQueueHorizon,
+             "Context::set_timer: node " << self_ << " armed a timer "
+                                         << delay << " steps out, past the "
+                                         << kQueueHorizon << "-step horizon");
+  runtime_->push(now_ + delay, {token, self_, true});
 }
 
 Runtime::Runtime(const graph::Graph& g, const NodeFactory& factory,
@@ -85,10 +44,6 @@ Runtime::Runtime(const graph::Graph& g, const NodeFactory& factory,
       delay_rng_(delays.seed + 1), recorder_(recorder), fault_(faults) {
   WCDS_REQUIRE(delays_.min_delay >= 1 && delays_.max_delay >= delays_.min_delay,
                "Runtime: invalid delay model");
-  // Unit delays without jitter put every delivery exactly one step out —
-  // all the two-bucket calendar needs, whatever else the hook does.
-  calendar_ = delays_.is_unit() &&
-              (fault_ == nullptr || fault_->max_extra_delay() == 0);
   if (!delays_.is_unit()) {
     // Zero-initialized clocks need no first-send branch: every real delivery
     // time is >= 1, so max(at, 0 + 1) leaves a first send untouched.
@@ -160,66 +115,68 @@ void Runtime::release_ref(std::uint32_t slot) {
   if (--entry.refs == 0) free_slots_.push_back(slot);
 }
 
-void Runtime::enqueue_flat(const PendingDelivery& delivery) {
-  if (!calendar_) {
-    heap_push(delivery);
-  } else if (delivery.time == bucket_time_ + 1) [[likely]] {
-    // Unit delays: a send made while the current step drains is due exactly
-    // one step later, so it belongs to the next bucket; appending preserves
-    // seq order within the step.
-    bucket_next_.push_back(delivery);
-  } else {
-    enqueue_off_step(delivery);
+void Runtime::push(SimTime at, const Event& event) {
+  // Unsigned: an event due before the cursor takes the slow path too.
+  if (at - cursor_ >= ring_.size()) [[unlikely]] fit(at);
+  // Appending keeps the bucket in creation order, and an event is created
+  // after every event already queued.
+  Bucket& bucket = ring_[at & (ring_.size() - 1)];
+  if (bucket.head == kNoChunk) {
+    bucket.head = bucket.tail = take_chunk();
+    bucket.read = bucket.write = 0;
+  } else if (bucket.write == kChunkEvents) {
+    const std::uint32_t chunk = take_chunk();
+    chunks_[bucket.tail].next = chunk;
+    bucket.tail = chunk;
+    bucket.write = 0;
   }
+  chunks_[bucket.tail].events[bucket.write++] = event;
+  ++pending_;
+  if (!event.timer) ++pending_deliveries_;
 }
 
-void Runtime::enqueue_off_step(const PendingDelivery& delivery) {
-  if (bucket_pos_ == bucket_now_.size() && bucket_next_.empty()) {
-    // Nothing in flight (a timer fired after an idle stretch, or the run is
-    // between calls): re-anchor the calendar one step before the delivery.
-    bucket_time_ = delivery.time - 1;
-    bucket_next_.push_back(delivery);
+std::uint32_t Runtime::take_chunk() {
+  if (free_chunk_ == kNoChunk) {
+    chunks_.emplace_back();
+    return static_cast<std::uint32_t>(chunks_.size() - 1);
+  }
+  const std::uint32_t chunk = free_chunk_;
+  free_chunk_ = chunks_[chunk].next;
+  return chunk;
+}
+
+void Runtime::fit(SimTime at) {
+  // The due times the ring must hold: [low, high].  An event due before the
+  // cursor is a with_node send behind a cursor that later timers moved on;
+  // it moves the cursor back.
+  const SimTime low = std::min(cursor_, at);
+  SimTime high = std::max(cursor_, at);
+  if (pending_ > 0) {
+    // The latest pending due time: the last non-empty bucket of the window.
+    SimTime latest = cursor_ + ring_.size() - 1;
+    while (ring_[latest & (ring_.size() - 1)].head == kNoChunk) --latest;
+    high = std::max(high, latest);
+  }
+  WCDS_CHECK(high - low <= kQueueHorizon,
+             "Runtime: an event due at " << at << " would spread the queue "
+                 << "over [" << low << ", " << high << "], more than "
+                 << kQueueHorizon << " steps");
+  if (pending_ == 0) {
+    // Nothing to move: re-anchor the cursor on the event.
+    cursor_ = at;
     return;
   }
-  // A send made between runs lands at completion_time + 1, which trails the
-  // calendar when the last events before a budget trip were timers or
-  // blocked receives.  Due on the current step, its seq is the largest yet,
-  // so it sorts last in that step.
-  WCDS_REQUIRE_STATE(delivery.time == bucket_time_,
-                     "Runtime: delivery at " << delivery.time
-                         << " cannot join the unit-delay calendar at step "
-                         << bucket_time_ << " (a hook's extra_delay() above "
-                         << "its max_extra_delay(), or a send between runs "
-                         << "behind a budget-tripped calendar)");
-  bucket_now_.push_back(delivery);
-}
-
-void Runtime::heap_push(const PendingDelivery& delivery) {
-  heap_.push_back(delivery);
-  sift_up(heap_);
-}
-
-Runtime::PendingDelivery Runtime::heap_pop() { return pop_min(heap_); }
-
-void Runtime::timer_push(const TimerEvent& event) {
-  timer_heap_.push_back(event);
-  sift_up(timer_heap_);
-}
-
-Runtime::TimerEvent Runtime::timer_pop() { return pop_min(timer_heap_); }
-
-void Runtime::schedule_timer(NodeId node, SimTime at, std::uint64_t token) {
-  timer_push({at, send_seq_, token, node});
-  ++send_seq_;
-}
-
-std::size_t Runtime::queue_size() const {
-  // Pending local timers are node-internal clocks, not queued deliveries,
-  // so they do not count toward the depth.
-  if (calendar_) {
-    return (bucket_now_.size() - bucket_pos_) + bucket_next_.size();
+  std::size_t width = ring_.size();
+  while (width <= high - low) width *= 2;
+  if (width != ring_.size()) {
+    // Each bucket holds one due time, so growing moves whole buckets.
+    std::vector<Bucket> grown(width);
+    for (SimTime t = cursor_; t < cursor_ + ring_.size(); ++t) {
+      grown[t & (width - 1)] = ring_[t & (ring_.size() - 1)];
+    }
+    ring_ = std::move(grown);
   }
-  return heap_.size();
+  cursor_ = low;
 }
 
 void Runtime::send(NodeId src, SimTime now, NodeId dst, MessageType type,
@@ -244,9 +201,7 @@ void Runtime::send(NodeId src, SimTime now, NodeId dst, MessageType type,
                        static_cast<std::uint32_t>(neighbors.size()));
       const std::size_t base = graph_->row_begin(src);
       for (std::size_t i = 0; i < neighbors.size(); ++i) {
-        const SimTime at = delivery_time(base + i, now);
-        enqueue_flat({at, send_seq_, slot, neighbors[i]});
-        ++send_seq_;
+        push(delivery_time(base + i, now), {slot, neighbors[i], false});
       }
     }
   } else {
@@ -255,9 +210,7 @@ void Runtime::send(NodeId src, SimTime now, NodeId dst, MessageType type,
                        "Runtime: unicast " << src << " -> " << dst
                                            << " to a non-neighbor");
     const std::uint32_t slot = acquire_slot(src, dst, type, std::move(payload), 1);
-    const SimTime at = delivery_time(link_slot, now);
-    enqueue_flat({at, send_seq_, slot, dst});
-    ++send_seq_;
+    push(delivery_time(link_slot, now), {slot, dst, false});
   }
   if (recorder_ != nullptr) [[unlikely]] record_send(src, dst, type, now);
 }
@@ -273,12 +226,8 @@ std::uint32_t Runtime::enqueue_faulty_copy(std::uint32_t slot,
     // overtake the original — exactly the reordering a hardened protocol
     // must survive.
     const SimTime jitter = fault_->extra_delay();
-    WCDS_DCHECK(jitter <= fault_->max_extra_delay(),
-                "FaultHook: extra_delay() above max_extra_delay()");
     add_ref(slot);
-    enqueue_flat({delivery_time(link_slot, now) + jitter, send_seq_, slot,
-                  recipient});
-    ++send_seq_;
+    push(delivery_time(link_slot, now) + jitter, {slot, recipient, false});
   }
   return copies;
 }
@@ -314,7 +263,8 @@ void Runtime::send_faulty(NodeId src, SimTime now, NodeId dst,
 
 void Runtime::record_send(NodeId src, NodeId dst, MessageType type,
                           SimTime now) {
-  max_queue_depth_ = std::max<std::uint64_t>(max_queue_depth_, queue_size());
+  max_queue_depth_ =
+      std::max<std::uint64_t>(max_queue_depth_, pending_deliveries_);
   if (obs::TraceSink* sink = recorder_->trace_sink()) {
     obs::TraceEvent event;
     event.kind = obs::TraceEvent::Kind::kSend;
@@ -322,7 +272,7 @@ void Runtime::record_send(NodeId src, NodeId dst, MessageType type,
     event.src = src;
     event.dst = dst == kBroadcastDst ? obs::kTraceBroadcastDst : dst;
     event.message_type = type;
-    event.queue_depth = queue_size();
+    event.queue_depth = pending_deliveries_;
     sink->on_event(event);
   }
 }
@@ -336,7 +286,7 @@ void Runtime::record_deliver(SimTime time, NodeId src, NodeId recipient,
     event.src = src;
     event.dst = recipient;
     event.message_type = type;
-    event.queue_depth = queue_size();
+    event.queue_depth = pending_deliveries_;
     sink->on_event(event);
   }
 }
@@ -383,7 +333,7 @@ void Runtime::apply_topology(const graph::Graph& next) {
   WCDS_REQUIRE(next.node_count() == graph_->node_count(),
                "Runtime::apply_topology: node count " << next.node_count()
                    << " != " << graph_->node_count());
-  WCDS_REQUIRE_STATE(queue_size() == 0 && timer_heap_.empty(),
+  WCDS_REQUIRE_STATE(pending_ == 0,
                      "Runtime::apply_topology: deliveries or timers pending");
   WCDS_REQUIRE_STATE(active_.empty(),
                      "Runtime::apply_topology: runtime restricted to a subset");
@@ -433,31 +383,30 @@ void Runtime::apply_topology(const graph::Graph& next) {
   }
 }
 
-void Runtime::deliver(PendingDelivery delivery) {
-  if (fault_ != nullptr &&
-      fault_->receive_blocked(delivery.recipient, delivery.time)) [[unlikely]] {
+void Runtime::deliver(const Event& event) {
+  const auto slot = static_cast<std::uint32_t>(event.token);
+  if (fault_ != nullptr && fault_->receive_blocked(event.node, cursor_))
+      [[unlikely]] {
     // Recipient radio is off: the copy evaporates without touching delivery
     // stats or the recipient's state.
-    release_ref(delivery.slot);
+    release_ref(slot);
     return;
   }
   ++stats_.deliveries;
-  stats_.completion_time = delivery.time;
-  PoolSlot& entry = pool_[delivery.slot];
+  stats_.completion_time = cursor_;
+  PoolSlot& entry = pool_[slot];
   if (recorder_ != nullptr) [[unlikely]] {
-    record_deliver(delivery.time, entry.message.src, delivery.recipient,
-                   entry.message.type);
+    record_deliver(cursor_, entry.message.src, event.node, entry.message.type);
   }
-  Context ctx(*this, delivery.recipient, delivery.time);
-  nodes_[delivery.recipient]->on_receive(ctx, entry.message);
-  release_ref(delivery.slot);
+  Context ctx(*this, event.node, cursor_);
+  nodes_[event.node]->on_receive(ctx, entry.message);
+  release_ref(slot);
 }
 
-void Runtime::fire_next_timer() {
-  const TimerEvent timer = timer_pop();
+void Runtime::fire_timer(const Event& event) {
   ++stats_.timer_fires;
-  Context ctx(*this, timer.node, timer.time);
-  nodes_[timer.node]->on_timer(ctx, timer.token);
+  Context ctx(*this, event.node, cursor_);
+  nodes_[event.node]->on_timer(ctx, event.token);
 }
 
 RunStats Runtime::run(std::uint64_t max_events) {
@@ -478,42 +427,34 @@ RunStats Runtime::run(std::uint64_t max_events) {
     }
   }
   std::uint64_t events = 0;
-  while (true) {
-    // The earliest in-flight delivery, or null when none is.  The calendar
-    // steps to its next bucket only once no timer is due before it, so a
-    // timer's sends always land one step after the current one.
-    const PendingDelivery* head = nullptr;
-    if (calendar_) {
-      if (bucket_pos_ == bucket_now_.size() && !bucket_next_.empty() &&
-          (timer_heap_.empty() ||
-           timer_heap_.front().time >= bucket_next_.front().time)) {
-        // swap + clear keeps both capacities, so steady state allocates
-        // nothing.
-        bucket_now_.clear();
-        bucket_pos_ = 0;
-        std::swap(bucket_now_, bucket_next_);
-        bucket_time_ = bucket_now_.front().time;
-      }
-      if (bucket_pos_ < bucket_now_.size()) head = &bucket_now_[bucket_pos_];
-    } else if (!heap_.empty()) {
-      head = &heap_.front();
+  while (pending_ > 0) {
+    Bucket& bucket = ring_[cursor_ & (ring_.size() - 1)];
+    if (bucket.head == kNoChunk) {
+      ++cursor_;
+      continue;
     }
-    // Deliveries and timers share the (time, seq) key; seq is globally
-    // unique, so the pick is deterministic.
-    const bool timer_next =
-        !timer_heap_.empty() &&
-        (head == nullptr || earlier(timer_heap_.front(), *head));
-    if (head == nullptr && !timer_next) break;
     if (++events > max_events) {
       finalize_stats(false);
       return stats_;
     }
-    if (timer_next) {
-      fire_next_timer();
-    } else if (calendar_) {
-      deliver(bucket_now_[bucket_pos_++]);
+    Chunk& chunk = chunks_[bucket.head];
+    const Event event = chunk.events[bucket.read++];
+    if (bucket.read ==
+        (bucket.head == bucket.tail ? bucket.write : kChunkEvents)) {
+      // Recycle a drained chunk before the handler runs: its sends may take
+      // a chunk, and may grow the ring under `bucket`.
+      const std::uint32_t drained = bucket.head;
+      bucket.head = drained == bucket.tail ? kNoChunk : chunk.next;
+      bucket.read = 0;
+      chunk.next = free_chunk_;
+      free_chunk_ = drained;
+    }
+    --pending_;
+    if (event.timer) {
+      fire_timer(event);
     } else {
-      deliver(heap_pop());
+      --pending_deliveries_;
+      deliver(event);
     }
   }
   finalize_stats(true);

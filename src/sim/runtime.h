@@ -21,18 +21,23 @@
 //
 // Hot-path design (docs/PERFORMANCE.md): the event queue is allocation-free
 // per delivery.  A broadcast interns its payload ONCE in a recycled message
-// pool; each of the d recipients enqueues a 24-byte POD PendingDelivery
-// referencing the shared slot.  The queue is chosen once, at construction,
-// from a bound on delay: under unit delays with a fault hook whose
-// max_extra_delay() is 0 (or no hook) every delivery lands at now+1, so a
-// two-bucket rotating calendar replaces the priority queue entirely; under
-// random delays or jitter a flat binary min-heap over a contiguous vector
-// keyed by (time, seq) is used.  Local timers live in their own (time, seq)
-// heap that the drain loop merges with either queue.  The original
-// std::map-based queue survives outside the library, as the test-only
-// sim::ReferenceRuntime (tests/oracle/), mirroring udg::build_udg_reference.
+// pool; each of the d recipients queues a 16-byte POD event referencing the
+// shared slot.  Deliveries and local timers share one queue under every
+// delay model: a ring of time buckets indexed by due time mod W (a power of
+// two), each bucket a FIFO list of fixed-size chunks from one recycled
+// chunk pool.  Every event is appended to the bucket of its due time when
+// it is created, so each bucket is in creation order and popping bucket
+// after bucket yields the (time, creation) order that makes runs
+// reproducible.  Storage is the ring's W buckets plus the chunks of the
+// events in flight, at most one partly filled chunk per non-empty bucket;
+// W starts at 2 (unit delays need no more) and doubles when an event lands
+// W or more steps from the drain cursor.  The original std::map-based
+// queue survives outside the library, as the test-only
+// sim::ReferenceRuntime (tests/oracle/), mirroring
+// udg::build_udg_reference.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -76,6 +81,13 @@ struct DelayModel {
 // remaining-budget counter without reintroducing cross-shard coupling.
 inline constexpr std::uint64_t kDefaultMaxEvents = 100'000'000;
 
+// Overload guard of the event queue: a timer armed more than this many
+// steps out, or any event that would spread the pending events over more
+// than this many steps, fails a check::CheckError instead of growing the
+// ring to match.  The largest delay in the repo is the hardened transport's
+// 64-step retransmit cap.
+inline constexpr SimTime kQueueHorizon = SimTime{1} << 20;
+
 class Runtime;
 
 // Per-delivery view handed to protocol handlers; the only way a node may act
@@ -107,8 +119,8 @@ class Context {
   // after `delay` time units.  Timers are node-internal clocks — they do
   // not touch the radio, are never faulted (a crashed node's CPU keeps
   // ticking; only its radio is off), and count neither as transmissions nor
-  // deliveries.  Only Runtime keeps timers: under another simulator this
-  // fails with a check::CheckError.
+  // deliveries.  Only Runtime keeps timers: under another simulator, or
+  // with a delay past kQueueHorizon, this fails with a check::CheckError.
   void set_timer(SimTime delay, std::uint64_t token);
 
  protected:
@@ -167,11 +179,7 @@ class Runtime {
 
   // `faults` (null by default) injects deterministic message loss,
   // duplication, delay noise and node crashes into the delivery path; see
-  // sim/fault_hook.h for the contract.  The queue is picked here, once:
-  // unit delays plus a hook whose max_extra_delay() is 0 keep the two-bucket
-  // calendar (every copy still lands one step out); jitter or an async delay
-  // model select the (time, seq) min-heap.  Both pop in (time, seq) order,
-  // so the choice never changes a trace.  The null-hook path is
+  // sim/fault_hook.h for the contract.  The null-hook path is
   // byte-identical to a runtime built without the parameter (guarded by
   // tests/fault_test.cpp).
   //
@@ -211,9 +219,11 @@ class Runtime {
   // sends are delivered by the next run().
   void apply_topology(const graph::Graph& next);
 
-  // Run `fn(ctx, node)` on node u at the current simulated time, the hook a
-  // watchdog uses to nudge a protocol between runs.  Its sends are delivered
-  // by the next run().
+  // Run `fn(ctx, node)` on node u at the current simulated time (the last
+  // delivery's), the hook a watchdog uses to nudge a protocol between runs.
+  // Its sends are delivered by the next run(), in (time, creation) order
+  // with whatever a budget trip left queued, even when a timer that fired
+  // later has moved the drain cursor past their due time.
   template <typename Fn>
   void with_node(NodeId u, Fn&& fn) {
     Context ctx(*this, u, stats_.completion_time);
@@ -231,9 +241,6 @@ class Runtime {
   }
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] FaultHook* fault_hook() const noexcept { return fault_; }
-  // True when deliveries run on the two-bucket unit-delay calendar rather
-  // than the (time, seq) heap; fixed at construction.
-  [[nodiscard]] bool uses_calendar() const noexcept { return calendar_; }
   // Deepest queue observed while a recorder was installed (0 otherwise); the
   // shard merge layer folds these with set_max across components.
   [[nodiscard]] std::uint64_t max_queue_depth() const noexcept {
@@ -243,13 +250,30 @@ class Runtime {
  private:
   friend class Context;
 
-  // POD event record; the payload lives once in the message pool no matter
-  // how many recipients a broadcast fans out to.
-  struct PendingDelivery {
-    SimTime time;
-    std::uint64_t seq;   // global send order; makes processing deterministic
-    std::uint32_t slot;  // message pool slot (shared across a broadcast)
-    NodeId recipient;
+  // One queued event: a delivery of a pooled message to its recipient, or
+  // a local timer of a node.  The payload lives once in the message pool no
+  // matter how many recipients a broadcast fans out to.
+  struct Event {
+    std::uint64_t token;  // timer token, or the message pool slot
+    NodeId node;          // recipient, or the node that armed the timer
+    bool timer;
+  };
+  // Buckets keep their events in fixed-size chunks from one recycled chunk
+  // pool, so a drain reads contiguous memory and a bucket holds at most one
+  // partly filled chunk beyond its events.
+  static constexpr std::uint32_t kChunkEvents = 64;
+  static constexpr std::uint32_t kNoChunk = ~std::uint32_t{0};
+  struct Chunk {
+    std::array<Event, kChunkEvents> events;
+    std::uint32_t next;  // next chunk of the same bucket, or of the free list
+  };
+  // The events due at one time step: a FIFO list of chunks, popped from
+  // `head` and appended to `tail`.
+  struct Bucket {
+    std::uint32_t head = kNoChunk;  // kNoChunk while the bucket is empty
+    std::uint32_t tail = kNoChunk;
+    std::uint32_t read = 0;   // next event to pop in the head chunk
+    std::uint32_t write = 0;  // events written to the tail chunk
   };
 
   // One interned transmission.  `refs` counts outstanding deliveries; the
@@ -277,35 +301,20 @@ class Runtime {
   void add_ref(std::uint32_t slot);
   void release_ref(std::uint32_t slot);
 
-  // Flat-queue primitives.
-  void enqueue_flat(const PendingDelivery& delivery);
-  // Calendar slow path for a delivery not due one step after the current
-  // one: the first send after an idle stretch, or a send made between runs.
-  void enqueue_off_step(const PendingDelivery& delivery);
-  void heap_push(const PendingDelivery& delivery);
-  [[nodiscard]] PendingDelivery heap_pop();
+  // Appends an event to the bucket of time `at`.
+  void push(SimTime at, const Event& event);
+  [[nodiscard]] std::uint32_t take_chunk();
+  // push's slow path for an event outside [cursor_, cursor_ + W): widens
+  // the ring or moves the cursor back so that it holds every pending event
+  // and the new one.
+  void fit(SimTime at);
 
-  // The one delivery body of the flat drain loop, calendar or heap: applies
-  // receive_blocked, the stats, the recorder and release_ref.
-  void deliver(PendingDelivery delivery);
-  void fire_next_timer();
-
-  // Local timer events; ordered with deliveries by the shared (time, seq)
-  // key, so runs stay exactly reproducible.
-  struct TimerEvent {
-    SimTime time;
-    std::uint64_t seq;
-    std::uint64_t token;
-    NodeId node;
-  };
-  void schedule_timer(NodeId node, SimTime at, std::uint64_t token);
-  void timer_push(const TimerEvent& event);
-  [[nodiscard]] TimerEvent timer_pop();
+  // The bodies of the drain loop: a delivery applies receive_blocked, the
+  // stats, the recorder and release_ref; a timer calls on_timer.
+  void deliver(const Event& event);
+  void fire_timer(const Event& event);
 
   void count_type(MessageType type);
-
-  // Outstanding deliveries on the calendar or the heap.
-  [[nodiscard]] std::size_t queue_size() const;
 
   // Recording slow paths, only reached with a non-null recorder.
   void record_send(NodeId src, NodeId dst, MessageType type, SimTime now);
@@ -327,25 +336,16 @@ class Runtime {
   // on_start order; empty means all nodes in ascending id order.
   std::vector<NodeId> active_;
 
-  // Unit-delay calendar: every in-flight delivery is due either
-  // at the time step being drained (bucket_now_[bucket_pos_..], due at
-  // bucket_time_) or one step later (bucket_next_, appended in send order ==
-  // seq order).  swap() + clear() per step keeps the capacity, so steady
-  // state allocates nothing.
-  std::vector<PendingDelivery> bucket_now_;
-  std::vector<PendingDelivery> bucket_next_;
-  std::size_t bucket_pos_ = 0;
-  SimTime bucket_time_ = 0;
-
-  // Async or jitter: binary min-heap over a contiguous vector,
-  // keyed by (time, seq).  seq is unique, so the order is total and
-  // deterministic.
-  std::vector<PendingDelivery> heap_;
-
-  // Timer min-heap, same (time, seq) key; only populated by Context::
-  // set_timer (the fault transport's retransmit clock).  The drain loop
-  // fires a timer whenever it is due before the next delivery.
-  std::vector<TimerEvent> timer_heap_;
+  // The event queue.  Every pending event is due in [cursor_, cursor_ + W),
+  // W = ring_.size() a power of two, and sits in bucket ring_[time & (W-1)]
+  // in creation order.  Drained chunks go back to the free_chunk_ list, so
+  // the pool follows the events in flight.
+  std::vector<Bucket> ring_ = std::vector<Bucket>(2);
+  std::vector<Chunk> chunks_;
+  std::uint32_t free_chunk_ = kNoChunk;
+  SimTime cursor_ = 0;  // the step being drained
+  std::size_t pending_ = 0;             // deliveries and timers queued
+  std::size_t pending_deliveries_ = 0;  // the trace's queue_depth
 
   // Message pool.  A deque gives stable references: a handler may broadcast
   // (growing the pool) while it still reads the pooled message it was
@@ -353,7 +353,6 @@ class Runtime {
   std::deque<PoolSlot> pool_;
   std::vector<std::uint32_t> free_slots_;
 
-  std::uint64_t send_seq_ = 0;
   RunStats stats_;
   // What finalize_stats already folded into the recorder, so a resumed run
   // adds only its own share.
@@ -369,8 +368,6 @@ class Runtime {
   std::vector<SimTime> link_clock_;
   obs::Recorder* recorder_ = nullptr;
   FaultHook* fault_ = nullptr;
-  // Deliveries run on the calendar (else the heap); chosen by the ctor.
-  bool calendar_ = false;
   std::uint64_t max_queue_depth_ = 0;  // tracked only while recording
 };
 

@@ -6,7 +6,7 @@
 //  1. Transparency — a null fault plan leaves the runtime byte-identical to
 //     the pre-fault-layer behavior (same traces, same stats, no added
 //     allocations), and a *trivial* plan behaves exactly like a null hook
-//     on the unit-delay calendar and under async delays on the heap.
+//     under unit and async delays alike.
 //  2. Convergence — under the issue's acceptance fault regime
 //     (drop=0.2, dup=0.05, crash/recover events) both distributed
 //     algorithms still reach quiescence with an audit-clean WCDS, across
@@ -173,9 +173,8 @@ TEST(FaultInjector, LinkOverridesShadowTheGlobalRates) {
 
 // --- Transparency -----------------------------------------------------------
 
-// A trivial-plan injector must replay the exact null-hook run even though it
-// forces the heap queue: under unit delays heap (time, seq) order equals
-// calendar order, and the injector's draws never perturb anything.
+// A trivial-plan injector must replay the exact null-hook run: the
+// injector's draws never perturb anything.
 TEST(FaultTransparency, TrivialPlanMatchesNullHookExactly) {
   const auto inst = wcds::testing::connected_udg(100, 8.0, 2);
   for (const bool alg1 : {true, false}) {

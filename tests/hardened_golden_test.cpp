@@ -146,8 +146,7 @@ fault::Plan lossy_with_crashes(const graph::Graph& g, std::uint64_t seed) {
 
 constexpr std::uint64_t kSeeds[] = {1, 2, 3};
 
-// Unit delays with zero jitter: after the queue change these run on the
-// two-bucket calendar.
+// Unit delays with zero jitter.
 TEST(HardenedGolden, Algorithm1LossyIsPinned) {
   constexpr Pin kPins[] = {
       {18297, 30078, 492, 174, 0x3cdcf5095f39b0ea},

@@ -98,7 +98,6 @@ class DeafNodeOne final : public sim::FaultHook {
   bool drop_copy(std::size_t) override { return false; }
   bool duplicate_copy(std::size_t) override { return false; }
   sim::SimTime extra_delay() override { return 0; }
-  sim::SimTime max_extra_delay() const override { return 0; }
   bool receive_blocked(NodeId recipient, sim::SimTime at) override {
     if (!deaf || recipient != 1) return false;
     last_swallowed = std::max(last_swallowed, at);

@@ -1,15 +1,15 @@
-// Differential suite for the sim's event queues (docs/PERFORMANCE.md).
+// Differential suite for the sim's event queue (docs/PERFORMANCE.md).
 //
-// sim::Runtime (pooled payloads + calendar/heap) must be observationally
-// identical to sim::ReferenceRuntime, the std::map queue it replaced, kept
-// as a test-only oracle (tests/oracle/): the same delivery sequence — every
-// trace event's (kind, time, src, dst, type, queue depth) — the same
-// RunStats, and the same WCDS, across both algorithms, both delay regimes
-// and many seeds.  Within Runtime, the unit-delay calendar must match the
-// (time, seq) heap under jitter-free fault plans and with local timers
-// merged in, including the timer edge cases of the merged drain loop.  A
-// counting-allocator test then pins down the point of the exercise: the
-// broadcast path performs no per-delivery heap allocation.
+// sim::Runtime (pooled payloads + one time-bucket ring) must be
+// observationally identical to sim::ReferenceRuntime, the std::map queue it
+// replaced, kept as a test-only oracle (tests/oracle/): the same delivery
+// sequence — every trace event's (kind, time, src, dst, type, queue depth) —
+// the same RunStats, and the same WCDS, across both algorithms, both delay
+// regimes and many seeds.  Runs with fault plans and local timers, which the
+// oracle cannot replay, are pinned to recorded FNV-1a digests of their trace
+// and RunStats, including the timer and with_node edge cases of the drain
+// loop.  A counting-allocator test then pins down the point of the
+// exercise: the broadcast path performs no per-delivery heap allocation.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -173,45 +173,73 @@ TEST(RuntimeQueueDifferential, OracleRefusesTimersWithACheckError) {
   EXPECT_THROW(oracle.run(), check::CheckError);
 }
 
-// Forwards every decision to a fault::Injector but claims one tick of
-// jitter, which makes the runtime pick the (time, seq) heap even though
-// every copy still lands one step out.
-class HeapForcingHook final : public sim::FaultHook {
+class Fnv1a {
  public:
-  explicit HeapForcingHook(fault::Injector& inner) : inner_(inner) {}
-  bool send_blocked(NodeId src, sim::SimTime now) override {
-    return inner_.send_blocked(src, now);
+  void add(std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (value >> (8 * byte)) & 0xffU;
+      hash_ *= 0x100000001b3ULL;
+    }
   }
-  bool drop_copy(std::size_t link_slot) override {
-    return inner_.drop_copy(link_slot);
-  }
-  bool duplicate_copy(std::size_t link_slot) override {
-    return inner_.duplicate_copy(link_slot);
-  }
-  sim::SimTime extra_delay() override { return inner_.extra_delay(); }
-  sim::SimTime max_extra_delay() const override { return 1; }
-  bool receive_blocked(NodeId recipient, sim::SimTime at) override {
-    return inner_.receive_blocked(recipient, at);
-  }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
 
  private:
-  fault::Injector& inner_;
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
+
+// Every trace event and the RunStats.
+void add_traced(Fnv1a& hash, const TracedRun& run) {
+  hash.add(run.events.size());
+  for (const obs::TraceEvent& e : run.events) {
+    hash.add(static_cast<std::uint64_t>(e.kind));
+    hash.add(e.time);
+    hash.add(e.src);
+    hash.add(e.dst);
+    hash.add(e.message_type);
+    hash.add(e.queue_depth);
+  }
+  const sim::RunStats& stats = run.stats;
+  hash.add(stats.transmissions);
+  hash.add(stats.deliveries);
+  hash.add(stats.timer_fires);
+  hash.add(stats.completion_time);
+  hash.add(stats.quiescent ? 1 : 0);
+  hash.add(stats.per_type.size());
+  for (const auto& [type, count] : stats.per_type) {
+    hash.add(type);
+    hash.add(count);
+  }
+}
+
+std::uint64_t digest_of(const TracedRun& run) {
+  Fnv1a hash;
+  add_traced(hash, run);
+  return hash.value();
+}
 
 struct HardenedRawRun {
   TracedRun traced;
   fault::TransportStats transport;
   fault::Injector::Counters counters;
-  bool calendar = false;
 };
 
+void add_hardened(Fnv1a& hash, const HardenedRawRun& run) {
+  add_traced(hash, run.traced);
+  hash.add(run.transport.frames_sent);
+  hash.add(run.transport.retransmits);
+  hash.add(run.transport.acks_sent);
+  hash.add(run.transport.duplicates_ignored);
+  hash.add(run.counters.suppressed_sends);
+  hash.add(run.counters.dropped);
+  hash.add(run.counters.duplicated);
+  hash.add(run.counters.blocked_receives);
+}
+
 // Both algorithms wrapped in the hardened transport (retransmit timers
-// included) on a raw runtime, with the plan's injector installed directly
-// or behind HeapForcingHook.
+// included) on a raw runtime with the plan's injector installed.
 HardenedRawRun hardened_raw_run(const graph::Graph& g, bool alg1,
-                                const fault::Plan& plan, bool force_heap) {
+                                const fault::Plan& plan) {
   fault::Injector injector(plan, g.node_count());
-  HeapForcingHook forcing(injector);
   obs::Recorder recorder;
   obs::MemoryTraceSink sink;
   recorder.set_trace_sink(&sink);
@@ -224,73 +252,53 @@ HardenedRawRun hardened_raw_run(const graph::Graph& g, bool alg1,
     return std::make_unique<fault::HardenedNode>(
         std::make_unique<protocols::Algorithm2Node>());
   };
-  sim::Runtime rt(g, factory, sim::DelayModel::unit(), &recorder,
-                  force_heap ? static_cast<sim::FaultHook*>(&forcing)
-                             : &injector);
+  sim::Runtime rt(g, factory, sim::DelayModel::unit(), &recorder, &injector);
   HardenedRawRun out;
   out.traced.stats = rt.run();
   out.traced.events = sink.events();
   out.transport = fault::collect_transport_stats(rt);
   out.counters = injector.counters();
-  out.calendar = rt.uses_calendar();
   return out;
 }
 
-// Jitter-free plans run on the calendar; the same decisions replayed on the
-// heap must give the same trace, RunStats, transport and injector counters.
-TEST(RuntimeQueueDifferential, CalendarMatchesHeapUnderFaultPlans) {
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    const auto inst = wcds::testing::connected_udg(60, 8.0, seed);
-    fault::Plan with_crashes = fault::Plan::lossy(0.15, seed);
-    with_crashes.crash(static_cast<NodeId>(seed % 60), 3, 25);
-    with_crashes.crash(static_cast<NodeId>((7 * seed) % 60), 10, 40);
-    const fault::Plan plans[] = {fault::Plan::lossy(0.1, seed),
-                                 fault::Plan::chaos(0.1, 0.1, 0, seed),
-                                 with_crashes};
-    for (std::size_t p = 0; p < std::size(plans); ++p) {
-      for (const bool alg1 : {true, false}) {
-        SCOPED_TRACE(::testing::Message() << "seed=" << seed << " plan=" << p
-                                          << " alg1=" << alg1);
-        const auto calendar = hardened_raw_run(inst.g, alg1, plans[p], false);
-        const auto heap = hardened_raw_run(inst.g, alg1, plans[p], true);
-        EXPECT_TRUE(calendar.calendar);
-        EXPECT_FALSE(heap.calendar);
-        EXPECT_TRUE(calendar.traced.stats.quiescent);
-        EXPECT_GT(calendar.traced.stats.timer_fires, 0u);
-        expect_same_trace(calendar.traced, heap.traced);
-        EXPECT_EQ(calendar.transport, heap.transport);
-        EXPECT_EQ(calendar.counters, heap.counters);
+// Lossy, duplicating and crash plans under unit delays, with retransmit
+// timers up to 64 steps out: one digest per (plan, algorithm) over six
+// seeds of trace, RunStats, transport and injector counters.
+TEST(RuntimeQueueDifferential, FaultPlansMatchRecordedDigests) {
+  // [plan][alg1 ? 0 : 1]
+  constexpr std::uint64_t kPinned[3][2] = {
+      {0xf13e7c745e60bdc5ULL, 0x63e41f58e3a00628ULL},
+      {0x7d1e33f95372b708ULL, 0x4ba1622094a253d3ULL},
+      {0xeb09d17949314869ULL, 0x03b457ff12dd4144ULL},
+  };
+  for (std::size_t p = 0; p < 3; ++p) {
+    for (const bool alg1 : {true, false}) {
+      SCOPED_TRACE(::testing::Message() << "plan=" << p << " alg1=" << alg1);
+      Fnv1a hash;
+      for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        const auto inst = wcds::testing::connected_udg(60, 8.0, seed);
+        fault::Plan with_crashes = fault::Plan::lossy(0.15, seed);
+        with_crashes.crash(static_cast<NodeId>(seed % 60), 3, 25);
+        with_crashes.crash(static_cast<NodeId>((7 * seed) % 60), 10, 40);
+        const fault::Plan plans[] = {fault::Plan::lossy(0.1, seed),
+                                     fault::Plan::chaos(0.1, 0.1, 0, seed),
+                                     with_crashes};
+        const auto run = hardened_raw_run(inst.g, alg1, plans[p]);
+        EXPECT_TRUE(run.traced.stats.quiescent);
+        EXPECT_GT(run.traced.stats.timer_fires, 0u);
+        add_hardened(hash, run);
       }
+      EXPECT_EQ(hash.value(), kPinned[p][alg1 ? 0 : 1]);
     }
   }
 }
 
-TEST(RuntimeQueueDifferential, QueueChoiceFollowsTheDelayBound) {
-  const auto g = graph::from_edges(2, {{0, 1}});
-  const auto factory = [](NodeId) -> std::unique_ptr<sim::ProtocolNode> {
-    return std::make_unique<protocols::Algorithm2Node>();
-  };
-  fault::Injector lossy(fault::Plan::lossy(0.5, 1), 2);
-  fault::Injector jitter(fault::Plan::chaos(0.0, 0.0, 2, 1), 2);
-  const auto uses_calendar = [&](const sim::DelayModel& delays,
-                                 sim::FaultHook* hook) {
-    return sim::Runtime(g, factory, delays, nullptr, hook).uses_calendar();
-  };
-  const auto unit = sim::DelayModel::unit();
-  const auto async = sim::DelayModel::uniform(1, 3, 1);
-  EXPECT_TRUE(uses_calendar(unit, nullptr));
-  EXPECT_TRUE(uses_calendar(unit, &lossy));
-  EXPECT_FALSE(uses_calendar(unit, &jitter));
-  EXPECT_FALSE(uses_calendar(async, nullptr));
-  EXPECT_FALSE(uses_calendar(async, &lossy));
-}
-
-// --- Timers on the calendar ------------------------------------------------
+// --- Timers and with_node ------------------------------------------------------
 
 // Hop-limited gossip that mixes direct sends with timer-driven ones.  A
 // token with h hops left is rebroadcast at once when h is odd; when h is
-// even a timer rebroadcasts it later: after 0 ticks (due before the next
-// calendar bucket) or after 9 ticks (long after the radio has gone quiet).
+// even a timer rebroadcasts it later: after 0 ticks (due in the bucket being
+// drained) or after 9 ticks (long after the radio has gone quiet).
 // Token kSilent arms a timer that sends nothing.
 class TimerGossipNode final : public sim::ProtocolNode {
  public:
@@ -325,20 +333,15 @@ class TimerGossipNode final : public sim::ProtocolNode {
 };
 
 // Runs `Node` (constructed from its id) on `g` under unit delays with no
-// fault hook (the calendar) or with a trivial injector behind
-// HeapForcingHook (the heap), letting `drive` call run() / with_node as it
-// likes.
+// fault hook, letting `drive` call run() / with_node as it likes.
 template <typename Node = TimerGossipNode, typename Drive>
-TracedRun gossip_run(const graph::Graph& g, bool force_heap, Drive&& drive) {
-  fault::Injector trivial(fault::Plan{}, g.node_count());
-  HeapForcingHook forcing(trivial);
+TracedRun gossip_run(const graph::Graph& g, Drive&& drive) {
   obs::Recorder recorder;
   obs::MemoryTraceSink sink;
   recorder.set_trace_sink(&sink);
   sim::Runtime rt(
       g, [](NodeId u) { return std::make_unique<Node>(u); },
-      sim::DelayModel::unit(), &recorder, force_heap ? &forcing : nullptr);
-  EXPECT_EQ(rt.uses_calendar(), !force_heap);
+      sim::DelayModel::unit(), &recorder);
   drive(rt);
   TracedRun out;
   out.stats = rt.stats();
@@ -355,23 +358,23 @@ graph::Graph gossip_graph() {
   return graph::from_edges(12, edges);
 }
 
+// The gossip's one uninterrupted run.
+constexpr std::uint64_t kGossipDigest = 0x332d3d03e30f1a16ULL;
+
 // The gossip includes idle stretches too: token 4 waits 9 ticks and the
 // silent timers fire at 40, well after the last delivery.
-TEST(CalendarTimers, NullHookUnitDelayTimersMatchTheHeap) {
-  const auto g = gossip_graph();
-  const auto run_once = [](sim::Runtime& rt) {
+TEST(CalendarTimers, NullHookUnitDelayTimersMatchRecordedDigest) {
+  const auto run = gossip_run(gossip_graph(), [](sim::Runtime& rt) {
     EXPECT_TRUE(rt.run().quiescent);
-  };
-  const auto calendar = gossip_run(g, false, run_once);
-  const auto heap = gossip_run(g, true, run_once);
-  EXPECT_GT(calendar.stats.timer_fires, 0u);
-  EXPECT_GT(calendar.stats.deliveries, 0u);
-  expect_same_trace(calendar, heap);
+  });
+  EXPECT_GT(run.stats.timer_fires, 0u);
+  EXPECT_GT(run.stats.deliveries, 0u);
+  EXPECT_EQ(digest_of(run), kGossipDigest);
 }
 
 // Two nodes: node 0 broadcasts and arms a 0-tick timer at time 0, so the
-// timer is due before the first calendar bucket (time 1) and its own
-// broadcast joins that bucket behind the first one.
+// timer fires before the first delivery (time 1) and its own broadcast
+// lands at time 1 behind the first one.
 TEST(CalendarTimers, TimerDueBeforeTheNextBucketFiresFirst) {
   class Starter final : public sim::ProtocolNode {
    public:
@@ -396,7 +399,6 @@ TEST(CalendarTimers, TimerDueBeforeTheNextBucketFiresFirst) {
   };
   const auto g = graph::from_edges(2, {{0, 1}});
   sim::Runtime rt(g, [](NodeId u) { return std::make_unique<Starter>(u); });
-  ASSERT_TRUE(rt.uses_calendar());
   const auto stats = rt.run();
   EXPECT_TRUE(stats.quiescent);
   EXPECT_EQ(stats.timer_fires, 1u);
@@ -406,8 +408,9 @@ TEST(CalendarTimers, TimerDueBeforeTheNextBucketFiresFirst) {
             (Heard{{1, 1}, {1, 2}}));
 }
 
-// Nothing in flight for a long stretch, only a pending timer: the calendar
-// jumps to the timer and re-anchors on its sends.
+// Nothing in flight for a long stretch, only a pending timer: the drain
+// skips the empty buckets to the timer, and the queue re-anchors when a
+// timer is armed on an idle runtime.
 TEST(CalendarTimers, IdleStretchWithOnlyTimersPending) {
   class Sleeper final : public sim::ProtocolNode {
    public:
@@ -423,7 +426,6 @@ TEST(CalendarTimers, IdleStretchWithOnlyTimersPending) {
   };
   const auto g = graph::from_edges(3, {{0, 1}, {1, 2}});
   sim::Runtime rt(g, [](NodeId) { return std::make_unique<Sleeper>(); });
-  ASSERT_TRUE(rt.uses_calendar());
   const auto stats = rt.run();
   EXPECT_TRUE(stats.quiescent);
   // Node 0 wakes at 20 (delivery at 21); node 1 wakes at 51 (deliveries at
@@ -435,33 +437,27 @@ TEST(CalendarTimers, IdleStretchWithOnlyTimersPending) {
 }
 
 // A budget that trips mid-bucket (and mid-timer-stretch), then resumed
-// run() calls: the stitched trace equals one uninterrupted run, on the
-// calendar and on the heap alike.
+// run() calls: the stitched trace equals one uninterrupted run.
 TEST(CalendarTimers, BudgetTripMidBucketThenResume) {
   const auto g = gossip_graph();
-  const auto whole = gossip_run(g, false, [](sim::Runtime& rt) {
-    EXPECT_TRUE(rt.run().quiescent);
-  });
   for (const std::uint64_t budget : {1U, 2U, 3U, 5U, 7U, 11U, 40U}) {
     SCOPED_TRACE(::testing::Message() << "budget=" << budget);
-    const auto chunked = [budget](sim::Runtime& rt) {
+    const auto chunked = gossip_run(g, [budget](sim::Runtime& rt) {
       int trips = 0;
       while (!rt.run(budget).quiescent) ++trips;
       EXPECT_GT(trips, 0);
-    };
-    expect_same_trace(gossip_run(g, false, chunked), whole);
-    expect_same_trace(gossip_run(g, true, chunked), whole);
+    });
+    EXPECT_EQ(digest_of(chunked), kGossipDigest);
   }
 }
 
 // The gossip run ends on the silent timer at 40, long after the last
-// delivery, so with_node sends at completion_time + 1 — a step behind the
-// timer that fired last.  Its first send is a unicast from the idle runtime,
-// traced after its copy is queued: queue_depth counts pending deliveries
-// after the event, on the plain and the fault-hook send paths alike.
+// delivery, so with_node sends at completion_time + 1 — behind the timer
+// that fired last, on an idle queue.  Its first send is a unicast from the
+// idle runtime, traced after its copy is queued: queue_depth counts pending
+// deliveries after the event.
 TEST(CalendarTimers, WithNodeAfterARunEndingInATimer) {
-  const auto g = gossip_graph();
-  const auto drive = [](sim::Runtime& rt) {
+  const auto run = gossip_run(gossip_graph(), [](sim::Runtime& rt) {
     const auto first = rt.run();
     EXPECT_TRUE(first.quiescent);
     EXPECT_LT(first.completion_time, 40u);
@@ -473,24 +469,19 @@ TEST(CalendarTimers, WithNodeAfterARunEndingInATimer) {
     EXPECT_TRUE(second.quiescent);
     EXPECT_GT(second.deliveries, first.deliveries);
     EXPECT_GT(second.completion_time, first.completion_time);
-  };
-  const auto calendar = gossip_run(g, false, drive);
-  const auto heap = gossip_run(g, true, drive);
-  expect_same_trace(calendar, heap);
-  for (const TracedRun* run : {&calendar, &heap}) {
-    const auto unicast = std::find_if(
-        run->events.begin(), run->events.end(), [](const obs::TraceEvent& e) {
-          return e.kind == obs::TraceEvent::Kind::kSend && e.dst == 6;
-        });
-    ASSERT_NE(unicast, run->events.end());
-    EXPECT_EQ(unicast->queue_depth, 1u);
-  }
+  });
+  EXPECT_EQ(digest_of(run), 0x0c68d5c2db81d3f7ULL);
+  const auto unicast = std::find_if(
+      run.events.begin(), run.events.end(), [](const obs::TraceEvent& e) {
+        return e.kind == obs::TraceEvent::Kind::kSend && e.dst == 6;
+      });
+  ASSERT_NE(unicast, run.events.end());
+  EXPECT_EQ(unicast->queue_depth, 1u);
 }
 
-// A budget that trips where the calendar has just stepped: the next bucket
-// is already current, so with_node's sends (at completion_time + 1) are
-// due on the current step and must sort after its deliveries.  Budgets
-// that trip mid-bucket take the ordinary next-step path.
+// A budget that trips at or inside a time step: with_node's sends (at
+// completion_time + 1) may be due on the step the drain stopped in, and
+// must sort after its pending deliveries.
 TEST(CalendarTimers, WithNodeAfterABudgetTripAtAStepBoundary) {
   // Hop-limited flooding without timers: every node relays a token with
   // hops left once per copy it hears.
@@ -507,19 +498,104 @@ TEST(CalendarTimers, WithNodeAfterABudgetTripAtAStepBoundary) {
    private:
     NodeId id_;
   };
+  // Indexed by budget - 1.
+  constexpr std::uint64_t kPinned[] = {
+      0xdf735bad0866404cULL, 0x5e8875a7b08bb10cULL, 0xbbf3f45775cef6e3ULL,
+      0x03e9adc85a64e4f6ULL, 0xb867b39140ff447aULL, 0x87f93cd681c5a5a2ULL,
+  };
   const auto path = graph::from_edges(4, {{0, 1}, {1, 2}, {2, 3}});
   for (const std::uint64_t budget : {1U, 2U, 3U, 4U, 5U, 6U}) {
     SCOPED_TRACE(::testing::Message() << "budget=" << budget);
-    const auto drive = [budget](sim::Runtime& rt) {
+    const auto run = gossip_run<Relay>(path, [budget](sim::Runtime& rt) {
       EXPECT_FALSE(rt.run(budget).quiescent);
       rt.with_node(3, [](sim::Context& ctx, sim::ProtocolNode&) {
         ctx.broadcast(1, {2});
       });
       EXPECT_TRUE(rt.run().quiescent);
-    };
-    expect_same_trace(gossip_run<Relay>(path, false, drive),
-                      gossip_run<Relay>(path, true, drive));
+    });
+    EXPECT_EQ(digest_of(run), kPinned[budget - 1]);
   }
+}
+
+// The budget trips right after a timer fired at 4, with its delivery at 5
+// still queued and the last delivery at 1.  with_node then sends at 2,
+// behind the drain cursor: the send is delivered first, in (time, seq)
+// order, not refused.
+TEST(CalendarTimers, WithNodeAfterATimerTripsTheBudget) {
+  class Pinger final : public sim::ProtocolNode {
+   public:
+    explicit Pinger(NodeId id) : id_(id) {}
+    void on_start(sim::Context& ctx) override {
+      if (id_ != 0) return;
+      ctx.broadcast(1);
+      ctx.set_timer(4, 0);
+    }
+    void on_receive(sim::Context& ctx, const sim::Message& msg) override {
+      heard.emplace_back(ctx.now(), msg.type);
+    }
+    void on_timer(sim::Context& ctx, std::uint64_t) override {
+      ctx.broadcast(2);
+    }
+    std::vector<std::pair<sim::SimTime, sim::MessageType>> heard;
+
+   private:
+    NodeId id_;
+  };
+  const auto pair = graph::from_edges(2, {{0, 1}});
+  const auto run = gossip_run<Pinger>(pair, [](sim::Runtime& rt) {
+    const auto tripped = rt.run(2);
+    EXPECT_FALSE(tripped.quiescent);
+    EXPECT_EQ(tripped.timer_fires, 1u);
+    EXPECT_EQ(tripped.completion_time, 1u);
+    rt.with_node(1, [](sim::Context& ctx, sim::ProtocolNode&) {
+      ctx.broadcast(3);
+    });
+    EXPECT_TRUE(rt.run().quiescent);
+    using Heard = std::vector<std::pair<sim::SimTime, sim::MessageType>>;
+    EXPECT_EQ(static_cast<const Pinger&>(rt.node(0)).heard, (Heard{{2, 3}}));
+    EXPECT_EQ(static_cast<const Pinger&>(rt.node(1)).heard,
+              (Heard{{1, 1}, {5, 2}}));
+  });
+  EXPECT_EQ(digest_of(run), 0x47c71d4ba166dcd1ULL);
+}
+
+// A timer far past the queue horizon is refused with a check::CheckError,
+// never served by a ring sized to match it; so is a delay that would wrap
+// the clock.
+TEST(CalendarTimers, TimerPastTheHorizonIsACheckError) {
+  class FarTimer final : public sim::ProtocolNode {
+   public:
+    explicit FarTimer(sim::SimTime delay) : delay_(delay) {}
+    void on_start(sim::Context& ctx) override { ctx.set_timer(delay_, 0); }
+    void on_receive(sim::Context&, const sim::Message&) override {}
+
+   private:
+    sim::SimTime delay_;
+  };
+  const auto g = graph::from_edges(2, {{0, 1}});
+  for (const sim::SimTime delay :
+       {sim::SimTime{1} << 40, ~sim::SimTime{0}, sim::kQueueHorizon + 1}) {
+    sim::Runtime rt(g, [delay](NodeId) {
+      return std::make_unique<FarTimer>(delay);
+    });
+    EXPECT_THROW(rt.run(), check::CheckError) << "delay=" << delay;
+  }
+}
+
+// The same horizon bounds deliveries: a delay model whose delays reach past
+// it fails on the first send.
+TEST(CalendarTimers, DeliveryPastTheHorizonIsACheckError) {
+  class Sender final : public sim::ProtocolNode {
+   public:
+    void on_start(sim::Context& ctx) override { ctx.broadcast(1); }
+    void on_receive(sim::Context&, const sim::Message&) override {}
+  };
+  const auto g = graph::from_edges(2, {{0, 1}});
+  const sim::SimTime far = sim::kQueueHorizon + 1;
+  sim::Runtime rt(
+      g, [](NodeId) { return std::make_unique<Sender>(); },
+      sim::DelayModel::uniform(far, far, 1));
+  EXPECT_THROW(rt.run(), check::CheckError);
 }
 
 // A protocol that floods forever: every node broadcasts on start; every
@@ -597,7 +673,7 @@ TEST(RuntimeQueue, BroadcastPathAllocationCount) {
   sim::ReferenceRuntime map(g, factory);
   const std::uint64_t flat_allocs = count_allocs(flat);
   const std::uint64_t map_allocs = count_allocs(map);
-  // Flat: pool-deque blocks, calendar-bucket doublings, the per-type vector —
+  // Flat: pool-deque blocks, event-pool doublings, the per-type vector —
   // all amortized, orders of magnitude below the 1024 deliveries.
   EXPECT_LT(flat_allocs, 100u);
   // Reference map: >= one node allocation per pending delivery.

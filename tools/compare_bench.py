@@ -34,9 +34,10 @@ What is judged (everything else in the reports is ignored):
     and the ``p50`` of every ``phase_ms/*`` histogram.  A fresh value
     regresses when  fresh > baseline * (1 + tolerance)  and the absolute
     slowdown exceeds ``--min-abs-ms`` (sub-millisecond phases jitter by
-    multiples of themselves on shared CI runners).  Timing metrics present
-    in only one report are reported but never fail the gate — adding or
-    retiring a bench config must not require lockstep baseline edits.
+    multiples of themselves on shared CI runners).  A timing metric of the
+    fresh report that the baseline lacks fails: it would otherwise go
+    ungated until the next refresh.  One the fresh report lacks is only
+    noted, so retiring a bench config needs no lockstep baseline edit.
 
 ``--refresh-baselines`` flips the tool from gate to maintenance mode: each
 fresh report is copied over its baseline path verbatim (the full report, so
@@ -195,12 +196,13 @@ def compare(
     tolerance: float,
     min_abs_ms: float,
 ) -> Tuple[List[str], List[str]]:
-    """Returns (regressions, notes); the gate fails iff regressions."""
+    """Returns (failures, notes); the gate fails iff failures."""
     regressions: List[str] = []
     notes: List[str] = []
     for name in sorted(set(baseline) | set(fresh)):
         if name not in baseline:
-            notes.append(f"new metric (no baseline): {name}")
+            regressions.append(f"UNGATED {name}: timing metric without a "
+                               f"baseline value")
             continue
         if name not in fresh:
             notes.append(f"baseline metric missing from fresh run: {name}")
@@ -364,7 +366,8 @@ def selftest() -> int:
     check("sub-ms jitter forgiven by absolute floor",
           not verdict(tiny_base, tiny_fresh))
 
-    # Non-timing metrics never participate; add/remove is a note, not a fail.
+    # Non-timing metrics never participate.  A timing metric the fresh
+    # report lacks is a note; one the baseline lacks fails.
     check(
         "non-timing metrics excluded",
         set(timing_metrics(base))
@@ -375,8 +378,16 @@ def selftest() -> int:
         timing_metrics(report("bench_a5_runtime",
                               {"a5/flat_ms/brand_new": 5.0})),
         tol, floor)
-    check("disjoint metric sets only produce notes", not regressions
-          and len(notes) == 3)
+    check("disjoint metric sets: baseline-only noted, fresh-only fails",
+          regressions == ["UNGATED a5/flat_ms/brand_new: timing metric "
+                          "without a baseline value"] and len(notes) == 2)
+    new_phase = fresh_with(10.0, 40.0)
+    new_phase["metrics"]["histograms"]["phase_ms/sim/shard_run"] = dict(
+        new_phase["metrics"]["histograms"]["phase_ms/build/total"])
+    check("a fresh phase histogram the baseline lacks fails",
+          verdict(base, new_phase) == [
+              "UNGATED phase_ms/sim/shard_run#p50: timing metric without a "
+              "baseline value"])
 
     # Pinned gauges are compared exactly, against the baseline or a constant.
     counts = report("bench_a6_faults", {
