@@ -94,8 +94,8 @@ HopCount eccentricity(const Graph& g, NodeId source) {
   return ecc;
 }
 
-void BoundedBfs::begin(std::size_t node_count, NodeId source) {
-  WCDS_DCHECK_LT(source, node_count, "BoundedBfs: source out of range");
+void BoundedBfs::begin(std::size_t node_count,
+                       std::span<const NodeId> sources) {
   if (stamp_.size() != node_count) {
     stamp_.assign(node_count, 0);
     dist_.assign(node_count, kUnreachable);
@@ -106,7 +106,10 @@ void BoundedBfs::begin(std::size_t node_count, NodeId source) {
     epoch_ = 1;
   }
   order_.clear();
-  visit(source, 0);
+  for (const NodeId s : sources) {
+    WCDS_DCHECK_LT(s, node_count, "BoundedBfs: source out of range");
+    if (stamp_[s] != epoch_) visit(s, 0);
+  }
 }
 
 std::vector<NodeId> ball(const Graph& g, NodeId center, HopCount radius) {

@@ -48,26 +48,28 @@ struct Components {
 // later search.  Not thread-safe; use one instance per thread.
 class BoundedBfs {
  public:
-  // Visits every node within `bound` hops of `source` and returns them in
-  // BFS order (source first).  `neighbors(u)` yields u's adjacency as a
-  // range.  The span is valid until the next run().
+  // Visits every node within `bound` hops of `sources` and returns each once
+  // in BFS order (distinct sources first, as given).  `neighbors(u)` yields
+  // u's adjacency as a range.  The span is valid until the next run().
   template <typename Neighbors>
-  std::span<const NodeId> run(std::size_t node_count, NodeId source,
-                              HopCount bound, const Neighbors& neighbors);
-  std::span<const NodeId> run(const Graph& g, NodeId source, HopCount bound) {
-    return run(g.node_count(), source, bound,
+  std::span<const NodeId> run(std::size_t node_count,
+                              std::span<const NodeId> sources, HopCount bound,
+                              const Neighbors& neighbors);
+  std::span<const NodeId> run(const Graph& g, std::span<const NodeId> sources,
+                              HopCount bound) {
+    return run(g.node_count(), sources, bound,
                [&g](NodeId u) { return g.neighbors(u); });
   }
 
-  // Hop distance from the last run's source: exact when at most the bound,
-  // kUnreachable otherwise.
+  // Hop distance from the last run's nearest source: exact when at most the
+  // bound, kUnreachable otherwise (that is, when the run did not visit v).
   [[nodiscard]] HopCount distance(NodeId v) const {
     return stamp_[v] == epoch_ ? dist_[v] : kUnreachable;
   }
 
  private:
-  // Starts a search: a new epoch, and `source` visited at distance 0.
-  void begin(std::size_t node_count, NodeId source);
+  // Starts a search: a new epoch, and each distinct source visited at 0.
+  void begin(std::size_t node_count, std::span<const NodeId> sources);
   void visit(NodeId v, HopCount d) {
     stamp_[v] = epoch_;
     dist_[v] = d;
@@ -81,10 +83,11 @@ class BoundedBfs {
 };
 
 template <typename Neighbors>
-std::span<const NodeId> BoundedBfs::run(std::size_t node_count, NodeId source,
+std::span<const NodeId> BoundedBfs::run(std::size_t node_count,
+                                        std::span<const NodeId> sources,
                                         HopCount bound,
                                         const Neighbors& neighbors) {
-  begin(node_count, source);
+  begin(node_count, sources);
   // order_ doubles as the FIFO queue; distances along it never decrease, so
   // the first node at the bound ends the expansion.
   for (std::size_t head = 0; head < order_.size(); ++head) {

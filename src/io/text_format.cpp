@@ -37,8 +37,8 @@ std::vector<geom::Point> read_points(std::istream& is) {
   }
   std::size_t n = 0;
   if (!(is >> n)) throw std::runtime_error("wcds::io: bad point count");
+  // No reserve(n): a header count must not size an allocation.
   std::vector<geom::Point> points;
-  points.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     geom::Point p;
     if (!(is >> p.x >> p.y)) {
@@ -61,7 +61,9 @@ graph::Graph read_graph(std::istream& is) {
   }
   std::size_t n = 0;
   std::size_t m = 0;
-  if (!(is >> n >> m)) throw std::runtime_error("wcds::io: bad graph sizes");
+  if (!(is >> n >> m) || n > std::numeric_limits<NodeId>::max()) {
+    throw std::runtime_error("wcds::io: bad graph sizes");
+  }
   graph::GraphBuilder builder(n);
   for (std::size_t i = 0; i < m; ++i) {
     NodeId u = 0;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
+#include <utility>
 
 #include "check/audit.h"
 #include "check/check.h"
@@ -33,9 +33,9 @@ std::uint64_t cell_key(const geom::Point& p, double range) {
   return cell_key(cx, cy);
 }
 
-void sort_unique(std::vector<NodeId>& nodes) {
-  std::sort(nodes.begin(), nodes.end());
-  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+// Matches the row entry of the bridge whose other endpoint is `b`.
+auto partner_is(NodeId b) {
+  return [b](const auto& bridge) { return bridge.partner == b; };
 }
 
 }  // namespace
@@ -50,7 +50,7 @@ DynamicWcds::DynamicWcds(std::vector<geom::Point> points, double range)
   const std::size_t n = points_.size();
   csr_ = udg::build_udg(points_, range_);
   adj_.resize(n);
-  partners_.resize(n);
+  bridges_.resize(n);
   for (NodeId u = 0; u < n; ++u) {
     const auto row = csr_.neighbors(u);
     adj_[u].assign(row.begin(), row.end());
@@ -137,22 +137,21 @@ const graph::Graph& DynamicWcds::active_graph() const {
   return csr_;
 }
 
-bool DynamicWcds::is_additional_dominator(NodeId u) const {
-  return std::any_of(bridges_.begin(), bridges_.end(),
-                     [&](const auto& entry) { return entry.second == u; });
-}
-
 std::vector<NodeId> DynamicWcds::dominators() const {
-  std::set<NodeId> set;
-  for (NodeId u = 0; u < points_.size(); ++u) {
-    if (mis_[u]) set.insert(u);
+  std::vector<bool> mask = mis_;
+  for (const auto& row : bridges_) {
+    for (const Bridge& bridge : row) mask[bridge.via] = true;
   }
-  for (const auto& [pair, v] : bridges_) set.insert(v);
-  return {set.begin(), set.end()};
+  std::vector<NodeId> ids;
+  for (NodeId u = 0; u < mask.size(); ++u) {
+    if (mask[u]) ids.push_back(u);
+  }
+  return ids;
 }
 
-std::span<const NodeId> DynamicWcds::three_hop_ball(NodeId center) {
-  return bfs_.run(points_.size(), center, 3,
+std::span<const NodeId> DynamicWcds::search(std::span<const NodeId> from,
+                                            HopCount bound) {
+  return bfs_.run(points_.size(), from, bound,
                   [this](NodeId u) -> const std::vector<NodeId>& {
                     return adj_[u];
                   });
@@ -178,38 +177,36 @@ bool DynamicWcds::bridge_valid(NodeId a, NodeId b, NodeId v) const {
 std::size_t DynamicWcds::rebridge(const std::vector<NodeId>& mis_nodes) {
   std::size_t changed = 0;
 
-  // Drop every entry with an endpoint in `mis_nodes`, found through the
-  // partner index rather than a scan of the whole map.  No other entry can
-  // have gone stale, so this is exactly the set of entries that are touched
-  // or invalid:
-  //  * every stored entry is valid after every event (audited as
-  //    Audit::bridges_sound), because each event re-derives all entries of
+  // Drop every bridge with an endpoint in `mis_nodes`: clear that row and
+  // the mirror entries in the partners' rows, rather than scan the table.
+  // No other bridge can have gone stale, so this is exactly the set of
+  // bridges that are touched or invalid:
+  //  * every stored bridge is valid after every event (audited as
+  //    Audit::bridges_sound), because each event re-derives all bridges of
   //    the MIS nodes it reaches;
-  //  * an event can invalidate an entry {a, b} via v only by removing an
+  //  * an event can invalidate a bridge {a, b} via v only by removing an
   //    edge of a path a-v-x-b (every removed edge is incident to the event
   //    node u, so a and b were within 3 hops of u before the event), by
   //    switching off v, a or b (then u is v, a or b), or by demoting a or b.
   //    In the first two cases both endpoints lie in the old 3-hop ball of u;
   //    repair() puts every MIS node of that ball and every demoted node into
   //    `mis_nodes`.  Activation and promotion only add edges and dominators,
-  //    which keeps every entry valid.
+  //    which keeps every bridge valid.
   for (NodeId a : mis_nodes) {
-    for (NodeId b : partners_[a]) {
-      changed += bridges_.erase(std::minmax(a, b));
-      auto& back = partners_[b];
-      back.erase(std::find(back.begin(), back.end(), a));
+    for (const Bridge& bridge : bridges_[a]) {
+      std::erase_if(bridges_[bridge.partner], partner_is(a));
     }
-    partners_[a].clear();
+    changed += bridges_[a].size();
+    bridges_[a].clear();
   }
 
   // Recompute pairs around each touched MIS node.  A pair with both
   // endpoints touched is bridged from the smaller one, which runs first.
   for (NodeId a : mis_nodes) {
     if (!mis_[a] || !active_[a]) continue;
-    for (NodeId b : three_hop_ball(a)) {
+    for (NodeId b : search({&a, 1}, 3)) {
       if (bfs_.distance(b) != 3 || !mis_[b]) continue;
-      const auto key = std::minmax(a, b);
-      if (bridges_.count(key) > 0) continue;
+      if (std::ranges::any_of(bridges_[a], partner_is(b))) continue;
       // Lexicographically smallest (v, x) path a-v-x-b.  adj_ rows are
       // ascending, so the first v that reaches b is the smallest; one
       // exists because b is exactly 3 hops from a.
@@ -219,9 +216,8 @@ std::size_t DynamicWcds::rebridge(const std::vector<NodeId>& mis_nodes) {
                            [&](NodeId x) { return has_edge(x, b); });
       });
       WCDS_DCHECK(v != row.end(), "rebridge: no bridge for a 3-hop pair");
-      bridges_.emplace(key, *v);
-      partners_[a].push_back(b);
-      partners_[b].push_back(a);
+      bridges_[a].push_back({b, *v});
+      bridges_[b].push_back({a, *v});
       ++changed;
     }
   }
@@ -232,18 +228,32 @@ RepairReport DynamicWcds::repair(const std::vector<NodeId>& seeds,
                                  const std::vector<NodeId>& old_region) {
   RepairReport report;
 
+  // Each node list below is one search's `found` nodes plus the nodes of
+  // `more` it did not visit, filtered by `keep`: no duplicates to remove,
+  // only a sort.  Ascending, since role decisions depend on the visiting
+  // order.
+  const auto gather = [this](std::span<const NodeId> found,
+                             const std::vector<NodeId>& more,
+                             const auto& keep) {
+    std::vector<NodeId> list;
+    list.reserve(found.size() + more.size());
+    for (NodeId u : found) {
+      if (keep(u)) list.push_back(u);
+    }
+    for (NodeId u : more) {
+      if (bfs_.distance(u) == kUnreachable && keep(u)) list.push_back(u);
+    }
+    std::sort(list.begin(), list.end());
+    return list;
+  };
+  const auto any = [](NodeId) { return true; };
+
   // Region: 3-hop balls (new graph) around the seeds, plus the pre-event
-  // ball (coverage lost by the event is confined there).  Ascending, like
-  // every node list below: role decisions depend on the visiting order.
-  std::vector<NodeId> region = old_region;
-  for (NodeId s : seeds) {
-    const auto ball = three_hop_ball(s);
-    region.insert(region.end(), ball.begin(), ball.end());
-  }
-  sort_unique(region);
+  // ball (coverage lost by the event is confined there).
+  const std::vector<NodeId> region = gather(search(seeds, 3), old_region, any);
 
   // 1. Resolve MIS conflicts (adjacent dominators): demote the higher ID.
-  std::vector<NodeId> demoted;
+  std::vector<NodeId> changed;  // demotions, then promotions
   bool conflict = true;
   while (conflict) {
     conflict = false;
@@ -252,7 +262,7 @@ RepairReport DynamicWcds::repair(const std::vector<NodeId>& seeds,
       for (NodeId v : adj_[u]) {
         if (mis_[v] && v > u) {
           mis_[v] = false;
-          demoted.push_back(v);
+          changed.push_back(v);
           conflict = true;
         }
       }
@@ -262,50 +272,33 @@ RepairReport DynamicWcds::repair(const std::vector<NodeId>& seeds,
   for (NodeId u : region) {
     if (mis_[u] && !active_[u]) {
       mis_[u] = false;
-      demoted.push_back(u);
+      changed.push_back(u);
     }
   }
-  report.demoted = demoted.size();
+  report.demoted = changed.size();
 
   // 2. Restore maximality: any active node in the blast radius without a
   // dominator in its closed neighborhood is promoted, ascending by ID (the
   // promotion keeps independence because the candidate has no MIS neighbor).
-  std::vector<NodeId> coverage_candidates = region;
-  for (NodeId d : demoted) {
-    coverage_candidates.push_back(d);
-    coverage_candidates.insert(coverage_candidates.end(), adj_[d].begin(),
-                               adj_[d].end());
-  }
-  sort_unique(coverage_candidates);
-  std::vector<NodeId> promoted;
-  for (NodeId u : coverage_candidates) {
+  for (NodeId u : gather(search(changed, 1), region, any)) {
     if (!active_[u] || mis_[u]) continue;
     const auto& row = adj_[u];
     const bool dominated = std::any_of(row.begin(), row.end(),
                                        [&](NodeId v) { return mis_[v]; });
     if (!dominated) {
       mis_[u] = true;
-      promoted.push_back(u);
+      changed.push_back(u);
     }
   }
-  report.promoted = promoted.size();
+  report.promoted = changed.size() - report.demoted;
 
   // 3. Re-derive bridges for every MIS node within 3 hops of anything that
-  // changed (seeds, demotions, promotions), or in the pre-event ball.
-  std::vector<NodeId> changed = seeds;
-  changed.insert(changed.end(), demoted.begin(), demoted.end());
-  changed.insert(changed.end(), promoted.begin(), promoted.end());
-  sort_unique(changed);
-  std::vector<NodeId> affected_mis = demoted;  // forces entry erasure
-  for (NodeId c : changed) {
-    for (NodeId u : three_hop_ball(c)) {
-      if (mis_[u]) affected_mis.push_back(u);
-    }
-  }
-  for (NodeId u : old_region) {
-    if (mis_[u]) affected_mis.push_back(u);
-  }
-  sort_unique(affected_mis);
+  // changed (seeds, demotions, promotions), or in the pre-event ball, and
+  // drop those of every demoted node (a search source, at distance 0).  The
+  // region holds the seeds' balls, so only role changes are searched.
+  const auto affected_mis =
+      gather(search(changed, 3), region,
+             [this](NodeId u) { return mis_[u] || bfs_.distance(u) == 0; });
   report.bridges_changed = rebridge(affected_mis);
 
   report.region_size = region.size();
@@ -317,7 +310,7 @@ RepairReport DynamicWcds::move_node(NodeId u, const geom::Point& destination) {
   obs::PhaseTimer event_timer(recorder_, "maintenance/move_node");
   std::vector<NodeId> old_region{u};
   if (active_[u]) {
-    const auto ball = three_hop_ball(u);
+    const auto ball = search({&u, 1}, 3);
     old_region.assign(ball.begin(), ball.end());
     unlink_node(u);
   }
@@ -335,7 +328,7 @@ RepairReport DynamicWcds::deactivate(NodeId u) {
   WCDS_REQUIRE_BOUNDS(u < points_.size(), "deactivate: bad id " << u);
   if (!active_[u]) return {};
   obs::PhaseTimer event_timer(recorder_, "maintenance/deactivate");
-  const auto ball = three_hop_ball(u);
+  const auto ball = search({&u, 1}, 3);
   const std::vector<NodeId> old_region(ball.begin(), ball.end());
   active_[u] = false;
   unlink_node(u);
@@ -365,15 +358,14 @@ RepairReport DynamicWcds::watchdog() {
   // Recovery mode: seed the repair everywhere.  Costlier than the 3-hop
   // event path, but only reached when the maintained state was perturbed
   // outside the event interface.
-  // The map may be unsound here, so it is not trusted to say which entries
-  // are stale: every entry is dropped and re-derived.
-  const std::size_t dropped = bridges_.size();
-  bridges_.clear();
-  for (auto& partners : partners_) partners.clear();
+  // The table may be unsound here, so it is not trusted to say which
+  // bridges are stale: every bridge is dropped and re-derived.
+  std::size_t entries = 0;  // two per bridge
+  for (auto& row : bridges_) entries += std::exchange(row, {}).size();
   std::vector<NodeId> everyone(points_.size());
   for (NodeId u = 0; u < points_.size(); ++u) everyone[u] = u;
   RepairReport report = repair(everyone, everyone);
-  report.bridges_changed += dropped;
+  report.bridges_changed += entries / 2;
   event_timer.stop();
   record_event("watchdog", report);
   maybe_audit("watchdog");
@@ -424,7 +416,7 @@ void DynamicWcds::maybe_audit(const char* event) const {
              "Section 4.2 (maintenance): unbridged 3-hop MIS pair after "
                  << event);
   WCDS_CHECK(state.bridges_sound,
-             "Section 4.2 (maintenance): stale or unindexed bridge after "
+             "Section 4.2 (maintenance): stale or unmirrored bridge after "
                  << event);
 }
 
@@ -457,27 +449,27 @@ Audit DynamicWcds::audit() const {
   graph::BoundedBfs bfs;
   for (NodeId a = 0; a < n; ++a) {
     if (!mis_[a] || !active_[a]) continue;
-    for (NodeId b : bfs.run(g, a, 3)) {
+    for (NodeId b : bfs.run(g, {&a, 1}, 3)) {
       if (b <= a || !mis_[b] || !active_[b] || bfs.distance(b) != 3) continue;
-      const auto it = bridges_.find({a, b});
-      if (it == bridges_.end() || !bridge_valid(a, b, it->second)) {
+      const auto it = std::ranges::find_if(bridges_[a], partner_is(b));
+      if (it == bridges_[a].end() || !bridge_valid(a, b, it->via)) {
         audit.bridges_complete = false;
       }
     }
   }
 
-  // Every stored bridge valid and indexed under both of its endpoints.
-  std::size_t indexed = 0;
-  for (const auto& partners : partners_) indexed += partners.size();
-  audit.bridges_sound = indexed == 2 * bridges_.size();
-  for (const auto& [pair, v] : bridges_) {
-    const auto [a, b] = pair;
-    const auto indexes = [&](NodeId at, NodeId other) {
-      const auto& row = partners_[at];
-      return std::find(row.begin(), row.end(), other) != row.end();
-    };
-    if (!bridge_valid(a, b, v) || !indexes(a, b) || !indexes(b, a)) {
-      audit.bridges_sound = false;
+  // Every stored bridge valid, and mirrored exactly once in its partner's
+  // row with the same via (so no row lists a partner twice either).
+  audit.bridges_sound = true;
+  for (NodeId a = 0; a < n; ++a) {
+    for (const Bridge& bridge : bridges_[a]) {
+      const auto& back = bridges_[bridge.partner];
+      const auto mirror = std::ranges::find_if(back, partner_is(a));
+      if (!bridge_valid(a, bridge.partner, bridge.via) ||
+          mirror == back.end() || mirror->via != bridge.via ||
+          std::ranges::count_if(back, partner_is(a)) != 1) {
+        audit.bridges_sound = false;
+      }
     }
   }
 

@@ -16,8 +16,8 @@
 //    The edge set always equals udg::build_udg over the active positions;
 //  * protocol-state repair is local: only nodes within the 3-hop balls of
 //    the event site (old and new position) can change role, and bridges are
-//    re-derived only for MIS nodes in those balls (found through a
-//    per-node index of bridge partners, over epoch-stamped BFS scratch);
+//    re-derived only for MIS nodes in those balls (each node set is one
+//    multi-source search; each bridge is stored under both endpoints);
 //  * invariants after every event: S is an MIS of the active graph, every
 //    3-hop MIS pair is bridged by an additional-dominator, every stored
 //    bridge is still valid, and hence S + C is a WCDS of every connected
@@ -25,10 +25,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "geom/point.h"
@@ -50,8 +48,8 @@ struct Audit {
   bool mis_independent = false;
   bool mis_maximal = false;
   bool bridges_complete = false;     // every 3-hop MIS pair bridged
-  // Every stored bridge is valid and indexed under both endpoints: the
-  // precondition of the endpoint-indexed drop in the event path.
+  // Every stored bridge is valid and stored once under each endpoint with
+  // the same via: the precondition of the row-wise drop in the event path.
   bool bridges_sound = false;
   bool weakly_connected = false;     // per connected component of the graph
 
@@ -84,7 +82,6 @@ class DynamicWcds {
   [[nodiscard]] const graph::Graph& active_graph() const;
   [[nodiscard]] bool is_active(NodeId u) const { return active_[u]; }
   [[nodiscard]] bool is_mis_dominator(NodeId u) const { return mis_[u]; }
-  [[nodiscard]] bool is_additional_dominator(NodeId u) const;
   [[nodiscard]] std::vector<NodeId> dominators() const;  // S + C, ascending
   [[nodiscard]] std::size_t node_count() const { return points_.size(); }
   [[nodiscard]] const geom::Point& position(NodeId u) const {
@@ -125,9 +122,9 @@ class DynamicWcds {
   // Re-derive bridges for every 3-hop pair with an endpoint in `mis_nodes`
   // (ascending).
   std::size_t rebridge(const std::vector<NodeId>& mis_nodes);
-  // Nodes within 3 hops of `center`, in BFS order; valid until the next
-  // search on bfs_.
-  std::span<const NodeId> three_hop_ball(NodeId center);
+  // Nodes within `bound` hops of `sources`, each once, in BFS order; valid
+  // until the next search on bfs_.
+  std::span<const NodeId> search(std::span<const NodeId> from, HopCount bound);
   [[nodiscard]] bool has_edge(NodeId u, NodeId v) const;
   [[nodiscard]] bool bridge_valid(NodeId a, NodeId b, NodeId v) const;
 
@@ -143,11 +140,14 @@ class DynamicWcds {
   mutable graph::Graph csr_;
   mutable bool csr_stale_ = false;
   std::vector<bool> mis_;
-  // (a, b) with a < b, both MIS and exactly 3 hops apart -> the additional
-  // dominator bridging them (a neighbor of a on a 3-hop path to b).
-  std::map<std::pair<NodeId, NodeId>, NodeId> bridges_;
-  // partners_[a]: every b with an entry for {a, b} in bridges_.
-  std::vector<std::vector<NodeId>> partners_;
+  // bridges_[a] holds {b, v} for each MIS node b exactly 3 hops from a: v is
+  // the additional dominator bridging them (a neighbor of a or b on a 3-hop
+  // path).  Each pair is in both rows with the same v; rows are unordered.
+  struct Bridge {
+    NodeId partner;
+    NodeId via;
+  };
+  std::vector<std::vector<Bridge>> bridges_;
   graph::BoundedBfs bfs_;  // event-path search scratch
   obs::Recorder* recorder_ = nullptr;
 };

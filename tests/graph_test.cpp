@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
+#include <vector>
 
 #include "geom/workload.h"
 #include "graph/bfs.h"
@@ -148,22 +150,29 @@ TEST(Bfs, Ball) {
 }
 
 // Checks one bounded search against the full BFS: the visited set is
-// exactly the nodes within the bound, in nondecreasing distance order, and
+// exactly the nodes within the bound of some source, the distinct sources
+// first in the order given and then in nondecreasing distance order, and
 // every reported distance is exact.
 void expect_bounded_matches_full(BoundedBfs& bfs, const Graph& g,
-                                 NodeId source, HopCount bound) {
-  const auto full = bfs_distances(g, source);
-  const auto order = bfs.run(g, source, bound);
-  ASSERT_FALSE(order.empty());
-  EXPECT_EQ(order.front(), source);
+                                 std::span<const NodeId> sources,
+                                 HopCount bound) {
+  const auto full = multi_source_bfs(g, sources);
+  const auto order = bfs.run(g, sources, bound);
+  std::vector<NodeId> distinct;
+  for (NodeId s : sources) {
+    if (std::find(distinct.begin(), distinct.end(), s) == distinct.end()) {
+      distinct.push_back(s);
+    }
+  }
+  ASSERT_GE(order.size(), distinct.size());
+  EXPECT_TRUE(std::equal(distinct.begin(), distinct.end(), order.begin()));
   std::size_t within = 0;
   for (NodeId v = 0; v < g.node_count(); ++v) {
     if (full[v] != kUnreachable && full[v] <= bound) {
       ++within;
-      EXPECT_EQ(bfs.distance(v), full[v]) << "source " << source << " v " << v;
+      EXPECT_EQ(bfs.distance(v), full[v]) << "v " << v;
     } else {
-      EXPECT_EQ(bfs.distance(v), kUnreachable)
-          << "source " << source << " v " << v;
+      EXPECT_EQ(bfs.distance(v), kUnreachable) << "v " << v;
     }
   }
   EXPECT_EQ(order.size(), within);
@@ -172,15 +181,30 @@ void expect_bounded_matches_full(BoundedBfs& bfs, const Graph& g,
   }
 }
 
+// Source lists for the multi-source cases: none, a duplicated pair, and a
+// spread of every 37th node with its first and last entries repeated.
+std::vector<std::vector<NodeId>> multi_source_lists(std::size_t n) {
+  std::vector<std::vector<NodeId>> lists{{}, {5, 5, 9, 5}};
+  std::vector<NodeId> spread;
+  for (NodeId u = 0; u < n; u += 37) spread.push_back(u);
+  const NodeId first = spread.front();
+  spread.insert(spread.begin(), spread.back());
+  spread.push_back(first);
+  lists.push_back(spread);
+  return lists;
+}
+
 TEST(BoundedBfs, PathGraphStopsAtTheBound) {
   const Graph g = path_graph(9);
   BoundedBfs bfs;
-  const auto order = bfs.run(g, 4, 2);
+  const NodeId center = 4;
+  const auto order = bfs.run(g, {&center, 1}, 2);
   EXPECT_EQ(std::vector<NodeId>(order.begin(), order.end()),
             (std::vector<NodeId>{4, 3, 5, 2, 6}));
   EXPECT_EQ(bfs.distance(6), 2u);
   EXPECT_EQ(bfs.distance(7), kUnreachable);
-  EXPECT_EQ(bfs.run(g, 0, 0).size(), 1u);
+  const NodeId end = 0;
+  EXPECT_EQ(bfs.run(g, {&end, 1}, 0).size(), 1u);
   EXPECT_EQ(bfs.distance(1), kUnreachable);
 }
 
@@ -192,7 +216,12 @@ TEST(BoundedBfs, AgreesWithFullBfsOnRandomUdgs) {
     const auto inst = wcds::testing::connected_udg(300, 10.0, seed);
     for (NodeId source = 0; source < inst.g.node_count(); source += 7) {
       for (const HopCount bound : {1u, 2u, 3u, 5u}) {
-        expect_bounded_matches_full(bfs, inst.g, source, bound);
+        expect_bounded_matches_full(bfs, inst.g, {&source, 1}, bound);
+      }
+    }
+    for (const auto& sources : multi_source_lists(inst.g.node_count())) {
+      for (const HopCount bound : {0u, 1u, 2u, 3u}) {
+        expect_bounded_matches_full(bfs, inst.g, sources, bound);
       }
     }
   }
@@ -208,7 +237,12 @@ TEST(BoundedBfs, AgreesWithFullBfsOnDisconnectedUdgs) {
     ASSERT_GT(connected_components(g).count, 1u);
     for (NodeId source = 0; source < g.node_count(); source += 3) {
       for (const HopCount bound : {0u, 1u, 3u, 4u}) {
-        expect_bounded_matches_full(bfs, g, source, bound);
+        expect_bounded_matches_full(bfs, g, {&source, 1}, bound);
+      }
+    }
+    for (const auto& sources : multi_source_lists(g.node_count())) {
+      for (const HopCount bound : {0u, 1u, 3u, 4u}) {
+        expect_bounded_matches_full(bfs, g, sources, bound);
       }
     }
   }

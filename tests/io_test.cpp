@@ -52,6 +52,16 @@ TEST(TextFormat, RejectsTruncation) {
   EXPECT_THROW(read_graph(sg), std::runtime_error);
 }
 
+TEST(TextFormat, HeaderCountsDoNotSizeAllocations) {
+  // 32 bytes that claim 10^11 points: reading must fail on the missing
+  // points, not on a 1.6 TB reservation.
+  std::stringstream ss("wcds-points v1\n100000000000\n0 0\n");
+  EXPECT_THROW(read_points(ss), std::runtime_error);
+  // One node more than NodeId can name.
+  std::stringstream sg("wcds-graph v1\n4294967296 0\n");
+  EXPECT_THROW(read_graph(sg), std::runtime_error);
+}
+
 TEST(TextFormat, FileRoundTrip) {
   const auto inst = testing::connected_udg(60, 8.0, 1);
   const std::string ppath = ::testing::TempDir() + "/wcds_points.txt";

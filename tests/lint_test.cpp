@@ -151,6 +151,19 @@ TEST(LintRules, HotPathAllocFires) {
   EXPECT_TRUE(has(diags, "hot-path-alloc", 3));
 }
 
+TEST(LintRules, HotPathAllocGuardsTheMaintenanceEventPath) {
+  // The default config lists DynamicWcds's files: its bridge table must stay
+  // flat rows, not a std::map.
+  const auto diags = lint_one(
+      "src/maintenance/dynamic_wcds.h",
+      "#pragma once\n"
+      "std::map<std::pair<int, int>, int> bridges_;\n");
+  EXPECT_TRUE(has(diags, "hot-path-alloc", 2));
+  EXPECT_TRUE(std::none_of(diags.begin(), diags.end(), [](const Diagnostic& d) {
+    return d.message.find("sim delivery") != std::string::npos;
+  }));
+}
+
 TEST(LintRules, HotPathAllocOnlyGuardsListedFiles) {
   Config config;
   config.hot_path_files = {"src/sim/hot.cpp"};

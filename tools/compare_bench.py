@@ -39,6 +39,15 @@ What is judged (everything else in the reports is ignored):
     ungated until the next refresh.  One the fresh report lacks is only
     noted, so retiring a bench config needs no lockstep baseline edit.
 
+  * Speedups: gauges whose name matches a speedup prefix (``a5/speedup/``,
+    sim::Runtime against the test-only map-queue oracle timed on the same
+    host in the same run — see SPEEDUP_GAUGE_PREFIXES).  Higher is better:
+    a fresh value regresses when  fresh < baseline / (1 + tolerance),  the
+    same relative slowdown the timing rule allows.  A ratio of two runs on
+    one host is what the gate can judge on any host; the oracle's own
+    milliseconds are not gated, since no change to the program moves them.
+    Missing and new names are treated as for timing metrics.
+
 ``--refresh-baselines`` flips the tool from gate to maintenance mode: each
 fresh report is copied over its baseline path verbatim (the full report, so
 future comparisons see exactly what a rerun would produce).  A report that
@@ -69,7 +78,6 @@ METRIC_KINDS = ("counters", "gauges", "histograms")
 
 TIMING_GAUGE_PREFIXES = (
     "a5/flat_ms/",
-    "a5/map_ms/",
     "a6/recovery_ms/",
     "a6/crash_repair_ms/",
     "a6/recover_repair_ms/",
@@ -79,6 +87,7 @@ TIMING_GAUGE_PREFIXES = (
     "a9/build_ms/",
 )
 PHASE_HISTOGRAM_PREFIX = "phase_ms/"
+SPEEDUP_GAUGE_PREFIXES = ("a5/speedup/",)
 
 BASELINE = "baseline"
 PINNED_GAUGES: Dict[str, object] = {
@@ -123,6 +132,13 @@ def timing_metrics(report: dict) -> Dict[str, float]:
     return out
 
 
+def speedup_metrics(report: dict) -> Dict[str, float]:
+    """Extract the comparable name -> speedup map from one report."""
+    gauges = report.get("metrics", {}).get("gauges", {})
+    return {name: float(value) for name, value in gauges.items()
+            if name.startswith(SPEEDUP_GAUGE_PREFIXES)}
+
+
 def pin_of(name: str) -> object:
     """The pin of gauge `name`, or None when it is not pinned."""
     for prefix, pin in PINNED_GAUGES.items():
@@ -164,8 +180,9 @@ def malformed(report: dict) -> List[str]:
         if not HISTOGRAM_KEYS <= hist.keys():
             problems.append(f"histogram {name} lacks one of "
                             f"{', '.join(sorted(HISTOGRAM_KEYS))}")
-    if not (problems or timing_metrics(report) or pinned_gauges(report)):
-        problems.append("neither timing metrics nor pinned gauges")
+    if not (problems or timing_metrics(report) or speedup_metrics(report)
+            or pinned_gauges(report)):
+        problems.append("neither timing metrics, speedups nor pinned gauges")
     return problems
 
 
@@ -195,8 +212,12 @@ def compare(
     fresh: Dict[str, float],
     tolerance: float,
     min_abs_ms: float,
+    speedups: bool = False,
 ) -> Tuple[List[str], List[str]]:
-    """Returns (failures, notes); the gate fails iff failures."""
+    """Returns (failures, notes); the gate fails iff failures.
+
+    Values are milliseconds, or speedups (higher is better) when `speedups`.
+    """
     regressions: List[str] = []
     notes: List[str] = []
     for name in sorted(set(baseline) | set(fresh)):
@@ -208,6 +229,13 @@ def compare(
             notes.append(f"baseline metric missing from fresh run: {name}")
             continue
         base, new = baseline[name], fresh[name]
+        if speedups:
+            floor = base / (1.0 + tolerance)
+            if new < floor:
+                regressions.append(
+                    f"REGRESSION {name}: speedup {base:.2f}x -> {new:.2f}x "
+                    f"(floor {floor:.2f}x)")
+            continue
         limit = base * (1.0 + tolerance)
         if new > limit and (new - base) > min_abs_ms:
             ratio = new / base if base > 0 else float("inf")
@@ -239,10 +267,17 @@ def judge(
             failures.append(f"MALFORMED fresh report: no {kind}, which the "
                             f"baseline has")
     pin_failures, matched = check_pins(baseline_report, fresh_report)
-    baseline = timing_metrics(baseline_report)
-    fresh = timing_metrics(fresh_report)
-    regressions, notes = compare(baseline, fresh, tolerance, min_abs_ms)
-    compared = len(set(baseline) & set(fresh))
+    regressions: List[str] = []
+    notes: List[str] = []
+    compared = 0
+    for extract, speedups in ((timing_metrics, False),
+                              (speedup_metrics, True)):
+        baseline, fresh = extract(baseline_report), extract(fresh_report)
+        found, noted = compare(baseline, fresh, tolerance, min_abs_ms,
+                               speedups)
+        regressions += found
+        notes += noted
+        compared += len(set(baseline) & set(fresh))
     return failures + pin_failures + regressions, notes, compared, matched
 
 
@@ -263,10 +298,11 @@ def run_pair(
         print(f"  {failure}")
     if failures:
         print(f"FAIL {label}: {len(failures)} failure(s); {compared} timing "
-              f"metric(s) compared, {matched} pinned gauge(s) on their pins")
+              f"or speedup metric(s) compared, {matched} pinned gauge(s) on "
+              f"their pins")
         return 1
-    print(f"OK {label}: {compared} timing metric(s) within "
-          f"+{tolerance * 100:.0f}% of baseline, {matched} pinned gauge(s) "
+    print(f"OK {label}: {compared} timing or speedup metric(s) within "
+          f"{tolerance * 100:.0f}% of baseline, {matched} pinned gauge(s) "
           f"on their pins")
     return 0
 
@@ -317,7 +353,7 @@ def selftest() -> int:
         "bench_a5_runtime",
         {
             "a5/flat_ms/alg1_sync_n512": 10.0,
-            "a5/speedup/alg1_sync_n512": 2.0,  # not a timing gauge
+            "a5/speedup/alg1_sync_n512": 2.0,  # a speedup, not a timing
             "a5/identical/alg1_sync_n512": 1.0,
         },
         {"phase_ms/build/total": 40.0, "build/nodes": 512.0},  # not phase_ms
@@ -389,6 +425,26 @@ def selftest() -> int:
               "UNGATED phase_ms/sim/shard_run#p50: timing metric without a "
               "baseline value"])
 
+    # Speedups are higher-is-better ratios under the same tolerance; the
+    # oracle's milliseconds (a5/map_ms/) are not gated at all.
+    def speedup_run(speedup: float, map_ms: float) -> dict:
+        return report("bench_a5_runtime", {
+            "a5/map_ms/alg1_sync_n512": map_ms,
+            "a5/speedup/alg1_sync_n512": speedup,
+            "a5/identical/alg1_sync_n512": 1.0,
+        })
+
+    check("a speedup within the tolerance passes",
+          not verdict(speedup_run(2.0, 20.0), speedup_run(1.61, 20.0)))
+    check("a speedup drop past the tolerance fails",
+          verdict(speedup_run(2.0, 20.0), speedup_run(1.59, 20.0)) == [
+              "REGRESSION a5/speedup/alg1_sync_n512: speedup 2.00x -> "
+              "1.59x (floor 1.60x)"])
+    check("a change in map_ms alone passes",
+          not verdict(speedup_run(2.0, 20.0), speedup_run(2.0, 60.0)))
+    check("a speedup the baseline lacks fails",
+          len(verdict(fresh_with(10.0, 40.0), base)) == 1)
+
     # Pinned gauges are compared exactly, against the baseline or a constant.
     counts = report("bench_a6_faults", {
         "a6/msgs/alg2_drop10": 10445.0,
@@ -453,7 +509,7 @@ def selftest() -> int:
         check("refresh copies the fresh report verbatim",
               load(base_path) == fresh_with(20.0, 40.0))
         refused = os.path.join(tmp, "refused.json")
-        write(refused, report("bench_a5_runtime", {"a5/speedup/x": 2.0}))
+        write(refused, report("bench_a5_runtime", {"a5/map_ms/x": 2.0}))
         check("refresh refuses a report with neither timing nor pinned gauges",
               refresh_baseline(base_path, refused) == 1)
         write(refused, {"metrics": {}})

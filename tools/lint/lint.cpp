@@ -327,7 +327,7 @@ const std::vector<RuleInfo>& rules() {
        "constants in src/check/audit.h"},
       {"hot-path-alloc",
        "std::map/std::function/std::shared_ptr/new are forbidden in the "
-       "allocation-free sim delivery files"},
+       "allocation-free hot-path files"},
       {"message-type-registry",
        "every *MessageType enumerator needs a trace-name entry "
        "(case kX: return \"...\")"},
@@ -1035,7 +1035,7 @@ void rule_hot_path_alloc(const SourceFile& file, const Config& config,
           diags.push_back(
               {file.path, static_cast<int>(i + 1), "hot-path-alloc",
                std::string(pattern) +
-                   " in an allocation-free sim delivery file; the hot path "
+                   " in an allocation-free hot-path file; the hot path "
                    "must stay POD + pooled (docs/PERFORMANCE.md)"});
         }
         pos = end;
@@ -1044,7 +1044,7 @@ void rule_hot_path_alloc(const SourceFile& file, const Config& config,
     std::size_t pos = 0;
     while ((pos = find_token(line, "new", pos)) != std::string_view::npos) {
       diags.push_back({file.path, static_cast<int>(i + 1), "hot-path-alloc",
-                       "bare `new` in an allocation-free sim delivery file; "
+                       "bare `new` in an allocation-free hot-path file; "
                        "use the message pool / preallocated buffers "
                        "(docs/PERFORMANCE.md)"});
       pos += 3;

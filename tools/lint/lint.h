@@ -115,12 +115,15 @@ struct Config {
       "src/check/audit.cpp",
   };
 
-  // Allocation-free hot-path files guarded by hot-path-alloc.
+  // Allocation-free hot-path files guarded by hot-path-alloc: the simulator
+  // delivery path and the DynamicWcds event path.
   std::vector<std::string> hot_path_files = {
       "src/sim/runtime.h",
       "src/sim/runtime.cpp",
       "src/sim/message.h",
       "src/sim/fault_hook.h",
+      "src/maintenance/dynamic_wcds.h",
+      "src/maintenance/dynamic_wcds.cpp",
   };
 
   // Contents of the metric registry document; empty disables
