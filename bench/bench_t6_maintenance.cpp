@@ -177,6 +177,20 @@ void print_tables() {
   std::cout << "\nExpected shape: bootstrap costs ~2 messages per node; each "
                "mobility event\nthen costs a handful of messages independent "
                "of n (msgs/event/n shrinks) —\nthe protocol's locality.\n";
+
+  // The maintenance/* totals of every DynamicWcds event above, as gauges the
+  // gate pins to the baseline: any change to repair or bridge choices moves
+  // one of them.
+  if (const obs::Recorder* rec = obs::global_recorder()) {
+    const auto counters = rec->snapshot().counters;
+    for (const std::string name :
+         {"events", "demoted", "promoted", "bridges_changed"}) {
+      const auto it = counters.find("maintenance/" + name);
+      set_gauge("t6/maintenance/" + name,
+                it == counters.end() ? 0.0
+                                     : static_cast<double>(it->second));
+    }
+  }
 }
 
 void BM_MoveEvent(benchmark::State& state) {

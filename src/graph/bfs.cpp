@@ -99,6 +99,7 @@ void BoundedBfs::begin(std::size_t node_count,
   if (stamp_.size() != node_count) {
     stamp_.assign(node_count, 0);
     dist_.assign(node_count, kUnreachable);
+    parent_.assign(node_count, kInvalidNode);
     epoch_ = 0;
   }
   if (++epoch_ == 0) {  // wrapped: no stale stamp may equal the new epoch
@@ -108,17 +109,8 @@ void BoundedBfs::begin(std::size_t node_count,
   order_.clear();
   for (const NodeId s : sources) {
     WCDS_DCHECK_LT(s, node_count, "BoundedBfs: source out of range");
-    if (stamp_[s] != epoch_) visit(s, 0);
+    if (stamp_[s] != epoch_) visit(s, 0, s);
   }
-}
-
-std::vector<NodeId> ball(const Graph& g, NodeId center, HopCount radius) {
-  std::vector<NodeId> members;
-  const auto dist = bfs_distances(g, center);
-  for (NodeId u = 0; u < g.node_count(); ++u) {
-    if (dist[u] != kUnreachable && dist[u] <= radius) members.push_back(u);
-  }
-  return members;
 }
 
 }  // namespace wcds::graph

@@ -38,10 +38,6 @@ struct Components {
 // component).
 [[nodiscard]] HopCount eccentricity(const Graph& g, NodeId source);
 
-// All nodes within `radius` hops of `center`, including the center.
-[[nodiscard]] std::vector<NodeId> ball(const Graph& g, NodeId center,
-                                       HopCount radius);
-
 // BFS truncated at a hop bound, over caller-owned scratch.  Visits are
 // epoch-stamped, so a search costs O(nodes and edges within the bound), not
 // O(n): the scratch is sized to the node count once and reused by every
@@ -67,17 +63,31 @@ class BoundedBfs {
     return stamp_[v] == epoch_ ? dist_[v] : kUnreachable;
   }
 
+  // The node whose expansion first reached v in the last run (its first
+  // discoverer); a source is its own parent.  Requires distance(v) !=
+  // kUnreachable.  For a non-source v, parent(v) is adjacent to v and
+  // distance(parent(v)) == distance(v) - 1.
+  //
+  // With one source s and ascending neighbour rows, the ancestor of v at
+  // distance 1 is the smallest neighbour of s on a shortest s-v path: the
+  // queue is FIFO, s's row puts level 1 in ascending order, and each level
+  // is then queued in nondecreasing order of that ancestor, so the first
+  // discoverer of v carries the smallest one.
+  [[nodiscard]] NodeId parent(NodeId v) const { return parent_[v]; }
+
  private:
   // Starts a search: a new epoch, and each distinct source visited at 0.
   void begin(std::size_t node_count, std::span<const NodeId> sources);
-  void visit(NodeId v, HopCount d) {
+  void visit(NodeId v, HopCount d, NodeId parent) {
     stamp_[v] = epoch_;
     dist_[v] = d;
+    parent_[v] = parent;
     order_.push_back(v);
   }
 
   std::vector<std::uint32_t> stamp_;
   std::vector<HopCount> dist_;
+  std::vector<NodeId> parent_;
   std::vector<NodeId> order_;
   std::uint32_t epoch_ = 0;
 };
@@ -95,7 +105,7 @@ std::span<const NodeId> BoundedBfs::run(std::size_t node_count,
     const HopCount d = dist_[u];
     if (d >= bound) break;
     for (const NodeId v : neighbors(u)) {
-      if (stamp_[v] != epoch_) visit(v, d + 1);
+      if (stamp_[v] != epoch_) visit(v, d + 1, u);
     }
   }
   return order_;

@@ -200,24 +200,29 @@ std::size_t DynamicWcds::rebridge(const std::vector<NodeId>& mis_nodes) {
     bridges_[a].clear();
   }
 
-  // Recompute pairs around each touched MIS node.  A pair with both
-  // endpoints touched is bridged from the smaller one, which runs first.
+  // Recompute pairs around each touched MIS node, ascending.  A pair with
+  // both endpoints touched is bridged from the smaller one, which runs
+  // first: an MIS node b < a in `mis_nodes` bridged all of its own 3-hop
+  // MIS pairs (b is active, being reached from a), and no other row entry
+  // survived the drop.
   for (NodeId a : mis_nodes) {
     if (!mis_[a] || !active_[a]) continue;
     for (NodeId b : search({&a, 1}, 3)) {
       if (bfs_.distance(b) != 3 || !mis_[b]) continue;
-      if (std::ranges::any_of(bridges_[a], partner_is(b))) continue;
-      // Lexicographically smallest (v, x) path a-v-x-b.  adj_ rows are
-      // ascending, so the first v that reaches b is the smallest; one
-      // exists because b is exactly 3 hops from a.
-      const auto& row = adj_[a];
-      const auto v = std::find_if(row.begin(), row.end(), [&](NodeId w) {
-        return std::any_of(adj_[w].begin(), adj_[w].end(),
-                           [&](NodeId x) { return has_edge(x, b); });
-      });
-      WCDS_DCHECK(v != row.end(), "rebridge: no bridge for a 3-hop pair");
-      bridges_[a].push_back({b, *v});
-      bridges_[b].push_back({a, *v});
+      if (b < a && std::ranges::binary_search(mis_nodes, b)) continue;
+      // The via is the smallest v of any path a-v-x-b, read off the search
+      // tree as parent(parent(b)).  adj_ rows are ascending and the search
+      // is single-source and FIFO, so level 1 is expanded in ascending ID
+      // order, each level-2 node x is first reached from its smallest
+      // level-1 neighbour, and level 2 is queued in that order.  b's first
+      // discoverer is therefore the level-2 neighbour of b with the smallest
+      // first hop, which is exactly the first v of adj_[a] with a neighbour
+      // adjacent to b (any such neighbour is at level 2).
+      const NodeId via = bfs_.parent(bfs_.parent(b));
+      WCDS_DCHECK_EQ(bfs_.distance(via), 1u,
+                     "rebridge: via is not a neighbour of a");
+      bridges_[a].push_back({b, via});
+      bridges_[b].push_back({a, via});
       ++changed;
     }
   }

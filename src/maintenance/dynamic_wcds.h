@@ -17,7 +17,9 @@
 //  * protocol-state repair is local: only nodes within the 3-hop balls of
 //    the event site (old and new position) can change role, and bridges are
 //    re-derived only for MIS nodes in those balls (each node set is one
-//    multi-source search; each bridge is stored under both endpoints);
+//    multi-source search; each bridge is stored under both endpoints, and
+//    its via is read off the 3-hop search tree from one endpoint, so no
+//    adjacency probe runs on the event path);
 //  * invariants after every event: S is an MIS of the active graph, every
 //    3-hop MIS pair is bridged by an additional-dominator, every stored
 //    bridge is still valid, and hence S + C is a WCDS of every connected
@@ -101,6 +103,9 @@ class DynamicWcds {
   RepairReport watchdog();
 
  private:
+  // Test seam: reads and plants bridge-table entries to exercise audit().
+  friend struct DynamicWcdsTestAccess;
+
   // Radio graph edits for an active node u: link adds the edges to every
   // active node in range (3x3 grid cells around u), unlink removes u's
   // edges.  The caller keeps active_[u] and the grid in step.
@@ -125,6 +130,8 @@ class DynamicWcds {
   // Nodes within `bound` hops of `sources`, each once, in BFS order; valid
   // until the next search on bfs_.
   std::span<const NodeId> search(std::span<const NodeId> from, HopCount bound);
+  // audit()'s independent oracle for a stored bridge; the event path reads
+  // vias off its searches and never calls these.
   [[nodiscard]] bool has_edge(NodeId u, NodeId v) const;
   [[nodiscard]] bool bridge_valid(NodeId a, NodeId b, NodeId v) const;
 
@@ -141,8 +148,9 @@ class DynamicWcds {
   mutable bool csr_stale_ = false;
   std::vector<bool> mis_;
   // bridges_[a] holds {b, v} for each MIS node b exactly 3 hops from a: v is
-  // the additional dominator bridging them (a neighbor of a or b on a 3-hop
-  // path).  Each pair is in both rows with the same v; rows are unordered.
+  // the additional dominator bridging them, the smallest first hop of a
+  // 3-hop path from the endpoint that last re-derived the pair.  Each pair
+  // is in both rows with the same v; rows are unordered.
   struct Bridge {
     NodeId partner;
     NodeId via;

@@ -140,15 +140,6 @@ TEST(Bfs, Eccentricity) {
   EXPECT_EQ(eccentricity(g, 2), 2u);
 }
 
-TEST(Bfs, Ball) {
-  const Graph g = path_graph(9);
-  const auto b2 = ball(g, 4, 2);
-  EXPECT_EQ(b2.size(), 5u);  // 2,3,4,5,6
-  EXPECT_TRUE(std::find(b2.begin(), b2.end(), 4u) != b2.end());
-  EXPECT_TRUE(std::find(b2.begin(), b2.end(), 6u) != b2.end());
-  EXPECT_FALSE(std::find(b2.begin(), b2.end(), 7u) != b2.end());
-}
-
 // Checks one bounded search against the full BFS: the visited set is
 // exactly the nodes within the bound of some source, the distinct sources
 // first in the order given and then in nondecreasing distance order, and
@@ -179,6 +170,39 @@ void expect_bounded_matches_full(BoundedBfs& bfs, const Graph& g,
   for (std::size_t k = 1; k < order.size(); ++k) {
     EXPECT_LE(bfs.distance(order[k - 1]), bfs.distance(order[k]));
   }
+  // Each distinct source is its own parent; every other visited node's
+  // parent is a neighbour one hop nearer the sources.
+  for (NodeId s : distinct) EXPECT_EQ(bfs.parent(s), s) << "source " << s;
+  for (NodeId v : order.subspan(distinct.size())) {
+    const NodeId p = bfs.parent(v);
+    ASSERT_LT(p, g.node_count()) << "v " << v;
+    EXPECT_TRUE(g.has_edge(p, v)) << "v " << v;
+    EXPECT_EQ(bfs.distance(p) + 1, bfs.distance(v)) << "v " << v;
+  }
+}
+
+// With one source s, the ancestor at distance 1 of every node the search
+// reached is the smallest neighbour of s on a shortest s-v path, found by
+// brute force from full BFS distances out of each neighbour of s.
+void expect_first_hops_smallest(BoundedBfs& bfs, const Graph& g, NodeId s,
+                                HopCount bound) {
+  std::vector<std::vector<HopCount>> from;  // from[i]: distances from row i
+  const auto row = g.neighbors(s);
+  for (NodeId w : row) from.push_back(bfs_distances(g, w));
+  for (NodeId v : bfs.run(g, {&s, 1}, bound)) {
+    const HopCount d = bfs.distance(v);
+    if (d == 0) continue;
+    NodeId hop = v;
+    while (bfs.distance(hop) > 1) hop = bfs.parent(hop);
+    NodeId smallest = kInvalidNode;
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      if (from[i][v] == d - 1) {
+        smallest = row[i];
+        break;
+      }
+    }
+    EXPECT_EQ(hop, smallest) << "source " << s << " v " << v;
+  }
 }
 
 // Source lists for the multi-source cases: none, a duplicated pair, and a
@@ -203,6 +227,9 @@ TEST(BoundedBfs, PathGraphStopsAtTheBound) {
             (std::vector<NodeId>{4, 3, 5, 2, 6}));
   EXPECT_EQ(bfs.distance(6), 2u);
   EXPECT_EQ(bfs.distance(7), kUnreachable);
+  EXPECT_EQ(bfs.parent(4), 4u);
+  EXPECT_EQ(bfs.parent(2), 3u);
+  EXPECT_EQ(bfs.parent(6), 5u);
   const NodeId end = 0;
   EXPECT_EQ(bfs.run(g, {&end, 1}, 0).size(), 1u);
   EXPECT_EQ(bfs.distance(1), kUnreachable);
@@ -245,6 +272,24 @@ TEST(BoundedBfs, AgreesWithFullBfsOnDisconnectedUdgs) {
         expect_bounded_matches_full(bfs, g, sources, bound);
       }
     }
+  }
+}
+
+TEST(BoundedBfs, FirstHopIsTheSmallestOnAShortestPath) {
+  // The parent rule DynamicWcds reads its bridges' vias from, on connected
+  // and disconnected UDGs (the latter with isolated sources).
+  BoundedBfs bfs;
+  for (const std::uint64_t seed : {1u, 2u}) {
+    const auto inst = wcds::testing::connected_udg(300, 10.0, seed);
+    for (NodeId source = 0; source < inst.g.node_count(); source += 7) {
+      expect_first_hops_smallest(bfs, inst.g, source, 5);
+    }
+  }
+  const Graph sparse = udg::build_udg(
+      geom::uniform_square(400, geom::side_for_expected_degree(400, 2.5), 4));
+  ASSERT_GT(connected_components(sparse).count, 1u);
+  for (NodeId source = 0; source < sparse.node_count(); source += 3) {
+    expect_first_hops_smallest(bfs, sparse, source, 4);
   }
 }
 

@@ -10,13 +10,24 @@
 #include "check/check.h"
 #include "geom/rng.h"
 #include "geom/workload.h"
+#include "graph/graph.h"
 #include "maintenance/crash_schedule.h"
 #include "maintenance/dynamic_wcds.h"
 #include "mobility/models.h"
 #include "udg/udg.h"
 
 namespace wcds::maintenance {
+
+// The test seam into DynamicWcds (befriended there): its bridge table, one
+// row of {partner, via} entries per node.
+struct DynamicWcdsTestAccess {
+  static auto& rows(DynamicWcds& dyn) { return dyn.bridges_; }
+  static const auto& rows(const DynamicWcds& dyn) { return dyn.bridges_; }
+};
+
 namespace {
+
+using Access = DynamicWcdsTestAccess;
 
 std::vector<geom::Point> deployment(std::uint32_t n, double degree,
                                     std::uint64_t seed) {
@@ -199,6 +210,122 @@ TEST(DynamicWcds, BridgesStaySoundAcrossEventKinds) {
   ASSERT_TRUE(audit.ok());
   audit.bridges_sound = false;
   EXPECT_FALSE(audit.ok());
+}
+
+// The via rule as a nested scan over the radio graph: the smallest
+// neighbour v of a with a neighbour adjacent to b (the lexicographically
+// smallest path a-v-x-b), kInvalidNode when there is none.
+NodeId nested_scan_via(const graph::Graph& g, NodeId a, NodeId b) {
+  for (NodeId v : g.neighbors(a)) {
+    for (NodeId x : g.neighbors(v)) {
+      if (g.has_edge(x, b)) return v;
+    }
+  }
+  return kInvalidNode;
+}
+
+TEST(DynamicWcds, EveryViaIsTheNestedScanFromOneEndpoint) {
+  // The event path reads each via off its bounded search's BFS tree; after
+  // every move and on/off event, each stored via must be the one the nested
+  // scan picks from one endpoint of its pair (the endpoint that last
+  // re-derived the pair).
+  constexpr std::uint32_t kNodes = 300;
+  DynamicWcds dyn(deployment(kNodes, 10.0, 14));
+  geom::Xoshiro256ss rng(15);
+  const double side = geom::side_for_expected_degree(kNodes, 10.0);
+  std::vector<NodeId> off;
+  std::size_t checked = 0;
+  const auto expect_vias = [&](int step) {
+    const graph::Graph& g = dyn.active_graph();
+    for (NodeId a = 0; a < kNodes; ++a) {
+      for (const auto& bridge : Access::rows(dyn)[a]) {
+        const NodeId b = bridge.partner;
+        EXPECT_TRUE(bridge.via == nested_scan_via(g, a, b) ||
+                    bridge.via == nested_scan_via(g, b, a))
+            << "step " << step << " pair " << a << "-" << b << " via "
+            << bridge.via;
+        ++checked;
+      }
+    }
+  };
+  expect_vias(-1);
+  for (int step = 0; step < 200; ++step) {
+    const auto u = static_cast<NodeId>(rng.next_below(kNodes));
+    const auto kind = rng.next_below(10);
+    if (kind < 7) {
+      (void)dyn.move_node(u, {rng.next_double(0.0, side),
+                              rng.next_double(0.0, side)});
+    } else if (kind == 7) {
+      (void)dyn.deactivate(u);
+      (void)dyn.activate(u);
+    } else if (kind == 8) {
+      (void)dyn.deactivate(u);
+      off.push_back(u);
+    } else if (!off.empty()) {
+      (void)dyn.activate(off.front());
+      off.erase(off.begin());
+    }
+    expect_vias(step);
+  }
+  EXPECT_GT(checked, 10000u);
+  EXPECT_TRUE(dyn.audit().ok());
+}
+
+TEST(DynamicWcds, AuditCatchesUnsoundMirrorsAndWatchdogRepairs) {
+  // Each fault is planted in the row of the larger endpoint b of a bridged
+  // pair {a, b}, so bridges_complete (which reads the smaller endpoint's
+  // row) still holds and only the mirror checks of bridges_sound can see it.
+  enum class Fault { kWrongViaMirror, kMissingMirror, kDuplicatePartner };
+  for (const Fault fault : {Fault::kWrongViaMirror, Fault::kMissingMirror,
+                            Fault::kDuplicatePartner}) {
+    SCOPED_TRACE(static_cast<int>(fault));
+    DynamicWcds dyn(deployment(200, 10.0, 12));
+    ASSERT_TRUE(dyn.audit().ok());
+    // The first bridged pair {a, b}, a < b, and a second valid via for it:
+    // on a path a-v-x-b the stored via is adjacent to one endpoint, and its
+    // neighbour toward the other endpoint is a valid via from that side, so
+    // the wrong mirror is still a valid bridge on its own.
+    const graph::Graph& g = dyn.active_graph();
+    NodeId a = 0;
+    const auto later = [&a](const auto& bridge) { return bridge.partner > a; };
+    while (a < dyn.node_count() &&
+           std::ranges::none_of(Access::rows(dyn)[a], later)) {
+      ++a;
+    }
+    ASSERT_LT(a, dyn.node_count());
+    const auto stored = *std::ranges::find_if(Access::rows(dyn)[a], later);
+    const NodeId b = stored.partner;
+    const NodeId far = g.has_edge(a, stored.via) ? b : a;
+    const auto row = g.neighbors(stored.via);
+    const auto other = std::ranges::find_if(
+        row, [&](NodeId x) { return g.has_edge(x, far); });
+    ASSERT_NE(other, row.end());
+    auto& back = Access::rows(dyn)[b];
+    const auto mirror = std::ranges::find_if(
+        back, [a](const auto& bridge) { return bridge.partner == a; });
+    ASSERT_NE(mirror, back.end());
+    switch (fault) {
+      case Fault::kWrongViaMirror:
+        mirror->via = *other;
+        break;
+      case Fault::kMissingMirror:
+        back.erase(mirror);
+        break;
+      case Fault::kDuplicatePartner: {
+        const auto copy = *mirror;
+        back.push_back(copy);
+        break;
+      }
+    }
+    const Audit broken = dyn.audit();
+    EXPECT_FALSE(broken.bridges_sound);
+    EXPECT_TRUE(broken.bridges_complete);
+    EXPECT_TRUE(broken.mis_independent && broken.mis_maximal &&
+                broken.weakly_connected);
+    EXPECT_FALSE(broken.ok());
+    EXPECT_GT(dyn.watchdog().bridges_changed, 0u);
+    EXPECT_TRUE(dyn.audit().ok());
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -116,6 +116,10 @@ PINNED_GAUGES: Dict[str, object] = {
     "t6/violations/": 0.0,
     "t6b/violations/": 0.0,
     "t6c/valid/": 1.0,
+    # T6: the DynamicWcds event totals (events, demotions, promotions,
+    # bridge entries touched) are functions of the seeds, so a change to
+    # repair or bridge choices moves them.
+    "t6/maintenance/": BASELINE,
 }
 
 
@@ -477,6 +481,19 @@ def selftest() -> int:
           len(verdict(counts, one_sided)) == 1)
     check("a baseline-pinned name in the baseline only fails",
           len(verdict(one_sided, counts)) == 1)
+    maintenance = report("bench_t6_maintenance", {
+        "t6/violations/n200_r0.25": 0.0,
+        "t6/maintenance/events": 7732.0,
+        "t6/maintenance/bridges_changed": 395245.0,
+    })
+    check("equal T6 maintenance totals pass",
+          not verdict(maintenance, copy.deepcopy(maintenance)))
+    moved = copy.deepcopy(maintenance)
+    moved["metrics"]["gauges"]["t6/maintenance/bridges_changed"] = 395246.0
+    check("a moved T6 maintenance total fails",
+          verdict(maintenance, moved) == [
+              "PINNED t6/maintenance/bridges_changed: 395246, pinned to "
+              "395245"])
 
     # Both reports must be well-formed wcds-bench/v1 documents.
     wrong_schema = dict(fresh_with(10.0, 40.0), schema="wcds-bench/v0")
