@@ -140,6 +140,20 @@ TEST(Bfs, Eccentricity) {
   EXPECT_EQ(eccentricity(g, 2), 2u);
 }
 
+// The radius-r ball around one node is the visited set of a bounded search.
+TEST(Bfs, Ball) {
+  const Graph g = path_graph(9);
+  BoundedBfs bfs;
+  const NodeId center = 4;
+  const auto order = bfs.run(g, {&center, 1}, 2);
+  std::vector<NodeId> b2(order.begin(), order.end());
+  std::sort(b2.begin(), b2.end());
+  EXPECT_EQ(b2, (std::vector<NodeId>{2, 3, 4, 5, 6}));
+  EXPECT_TRUE(std::find(b2.begin(), b2.end(), 4u) != b2.end());
+  EXPECT_TRUE(std::find(b2.begin(), b2.end(), 6u) != b2.end());
+  EXPECT_FALSE(std::find(b2.begin(), b2.end(), 7u) != b2.end());
+}
+
 // Checks one bounded search against the full BFS: the visited set is
 // exactly the nodes within the bound of some source, the distinct sources
 // first in the order given and then in nondecreasing distance order, and
